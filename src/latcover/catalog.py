@@ -5,7 +5,7 @@ queries and the per-length verification checks.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from .enumeration import CoveringTuple, enumerate_minimal_coverings, precedes
 from .lattices import Subgroup, ZERO, canonicalize, density_sum, index, is_cover
@@ -111,7 +111,6 @@ def entry_from_texts(texts) -> CatalogEntry:
 @dataclass
 class Catalog:
     entries: list[CatalogEntry]
-    provenance: dict = field(default_factory=dict)
 
     def by_length(self, k: int) -> list[CatalogEntry]:
         return [e for e in self.entries if e.length == k]
@@ -121,11 +120,10 @@ class Catalog:
         return [e for e in self.entries if predicate(e.length, e.indices)]
 
 
-def generate_catalog(workers: int = 1) -> Catalog:
-    tuples = enumerate_minimal_coverings(workers=workers)
-    entries = [canonical_entry(t) for t in tuples]
+def generate_catalog() -> Catalog:
+    entries = [canonical_entry(t) for t in enumerate_minimal_coverings()]
     entries.sort(key=lambda e: (e.length, e.indices, e.text()))
-    return Catalog(entries, provenance={"slots": 6, "workers": workers})
+    return Catalog(entries)
 
 
 def serialize(catalog: Catalog) -> str:

@@ -6,13 +6,13 @@ from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
 import time
 
 from . import catalog as catalog_mod
 from . import forms, groebner, modular
-from .enumeration import enumerate_minimal_coverings, raw_solutions
+from .catalog import CheckResult
+from .enumeration import raw_solutions
 from .mat2 import parse_mat2
 
 EX_USAGE = 64
@@ -24,16 +24,6 @@ class _Parser(argparse.ArgumentParser):
         self.exit(EX_USAGE, f"{self.prog}: error: {message}\n")
 
 
-def _workers(args) -> int:
-    env = os.environ.get("LATTICE_COVER_THREADS")
-    if env:
-        try:
-            return max(1, int(env))
-        except ValueError:
-            pass
-    return max(1, args.threads)
-
-
 def _emit(args, payload: dict, lines) -> None:
     if args.format == "json":
         payload = {"timestamp": time.strftime("%Y-%m-%dT%H:%M:%S%z"), **payload}
@@ -43,18 +33,44 @@ def _emit(args, payload: dict, lines) -> None:
             print(line)
 
 
+def _emit_checks(args, command: str, results: list[CheckResult],
+                 summary: bool = False) -> int:
+    """Report named checks as JSON or as one PASS/FAIL line each.
+
+    ``summary`` drops the details from the text and ends it with a total.
+    Returns the exit status: 0 if every check passed, else 1.
+    """
+    failed = [r.name for r in results if not r.ok]
+    payload = {
+        "command": command,
+        "checks": [vars(r) for r in results],
+        "ok": not failed,
+    }
+    lines = [
+        f"{'PASS' if r.ok else 'FAIL'} {r.name}"
+        + (f"  ({r.detail})" if r.detail and not summary else "")
+        for r in results
+    ]
+    if summary:
+        lines.append(
+            f"{len(failed)} failure(s): {', '.join(failed)}" if failed
+            else "all checks passed"
+        )
+    _emit(args, payload, lines)
+    return 1 if failed else 0
+
+
 def _cmd_enumerate(args) -> int:
-    workers = _workers(args)
     lines = []
     payload: dict = {"command": "enumerate", "slots": args.slots}
     if args.slots != 6:
         print("only the six-slot search is supported", file=sys.stderr)
         return 2
     if args.raw_count:
-        raw = len(raw_solutions(workers=workers))
+        raw = len(raw_solutions())
         payload["raw_count"] = raw
         lines.append(f"raw solutions: {raw}")
-    cat = catalog_mod.generate_catalog(workers=workers)
+    cat = catalog_mod.generate_catalog()
     payload["minimal_count"] = len(cat.entries)
     payload["counts_by_length"] = {
         str(k): len(cat.by_length(k)) for k in (3, 4, 5, 6)
@@ -74,21 +90,8 @@ def _cmd_verify_catalog(args) -> int:
         with open(args.infile) as fh:
             cat = catalog_mod.parse(fh.read())
     else:
-        cat = catalog_mod.generate_catalog(workers=_workers(args))
-    results = catalog_mod.verify_catalog(cat)
-    payload = {
-        "command": "verify-catalog",
-        "checks": [
-            {"name": r.name, "ok": r.ok, "detail": r.detail} for r in results
-        ],
-        "ok": all(r.ok for r in results),
-    }
-    lines = [
-        f"{'PASS' if r.ok else 'FAIL'} {r.name}" + (f"  ({r.detail})" if r.detail else "")
-        for r in results
-    ]
-    _emit(args, payload, lines)
-    return 0 if payload["ok"] else 1
+        cat = catalog_mod.generate_catalog()
+    return _emit_checks(args, "verify-catalog", catalog_mod.verify_catalog(cat))
 
 
 def _modular_reports(modulus):
@@ -178,59 +181,42 @@ def _cmd_form(args) -> int:
 
 
 def _cmd_verify_all(args) -> int:
-    failures = []
-
-    cat = catalog_mod.generate_catalog(workers=_workers(args))
-    for r in catalog_mod.verify_catalog(cat):
-        print(f"{'PASS' if r.ok else 'FAIL'} catalog/{r.name}")
-        if not r.ok:
-            failures.append(f"catalog/{r.name}")
-
-    for r in modular.run_all_scans():
-        print(f"{'PASS' if r.ok else 'FAIL'} modular/{r.name}-mod-{r.modulus}")
-        if not r.ok:
-            failures.append(f"modular/{r.name}")
-
-    for v in groebner.verify_all():
-        name = "groebner/" + "-".join(v.elements)
-        print(f"{'PASS' if v.ok else 'FAIL'} {name}")
-        if not v.ok:
-            failures.append(name)
-
-    form_checks = [
-        ("F0", forms.extraordinary_by_C3(
-            forms.F0, parse_mat2("1,0;0,1"), "d3"), True),
-        ("sextic-1-0", forms.extraordinary_by_C3(
-            forms.sextic(1, 0), forms.SEXTIC_CONJUGATOR, "d6"), True),
-        ("XY(X+3Y)", forms.extraordinary_by_C3(
-            forms.BinaryForm.of(0, 1, 3, 0), parse_mat2("1/3,0;0,1"), "d3"),
-         False),
+    checks = [
+        CheckResult(f"catalog/{r.name}", r.ok, r.detail)
+        for r in catalog_mod.verify_catalog(catalog_mod.generate_catalog())
     ]
-    for name, got, want in form_checks:
-        ok = got == want
-        print(f"{'PASS' if ok else 'FAIL'} form/{name}")
-        if not ok:
-            failures.append(f"form/{name}")
-
+    checks += [
+        CheckResult(
+            f"modular/{r.name}-mod-{r.modulus}", r.ok, str(r.context or "")
+        )
+        for r in modular.run_all_scans()
+    ]
+    checks += [
+        CheckResult(
+            "groebner/" + "-".join(v.elements), v.ok, f"3 in ideal = {v.contains_3}"
+        )
+        for v in groebner.verify_all()
+    ]
+    reference_forms = (  # name, form, conjugator, variant, extraordinary
+        ("F0", forms.F0, parse_mat2("1,0;0,1"), "d3", True),
+        ("sextic-1-0", forms.sextic(1, 0), forms.SEXTIC_CONJUGATOR, "d6", True),
+        ("XY(X+3Y)", forms.BinaryForm.of(0, 1, 3, 0), parse_mat2("1/3,0;0,1"),
+         "d3", False),
+    )
+    for name, f, conj, variant, want in reference_forms:
+        got = forms.extraordinary_by_C3(f, conj, variant)
+        checks.append(CheckResult(f"form/{name}", got == want, f"extraordinary: {got}"))
     rep = forms.cross_value_check(forms.F0, forms.dagger(forms.F0), 10, 60)
-    print(f"{'PASS' if rep.ok else 'FAIL'} form/value-sets-F0-vs-companion")
-    if not rep.ok:
-        failures.append("form/value-sets")
-
-    if failures:
-        print(f"{len(failures)} failure(s): {', '.join(failures)}")
-        return 1
-    print("all checks passed")
-    return 0
+    checks.append(CheckResult(
+        "form/value-sets-F0-vs-companion", rep.ok,
+        f"unmatched {len(rep.unmatched_f)} and {len(rep.unmatched_g)} values",
+    ))
+    return _emit_checks(args, "verify-all", checks, summary=True)
 
 
 def build_parser() -> _Parser:
     parser = _Parser(prog="latcover")
     parser.add_argument("--format", choices=("text", "json"), default="text")
-    parser.add_argument(
-        "--threads", type=int, default=1, metavar="N",
-        help="worker processes (env LATTICE_COVER_THREADS overrides)",
-    )
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("enumerate", help="enumerate the minimal coverings")
@@ -276,7 +262,7 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except (ValueError, OSError) as exc:
+    except (ValueError, ZeroDivisionError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

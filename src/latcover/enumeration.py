@@ -10,14 +10,10 @@ the minimal coverings.
 
 from __future__ import annotations
 
-import itertools
-import sys
-
 from .lattices import (
     ZERO,
     Subgroup,
     adjoin,
-    canonicalize,
     contains,
     index,
     is_cover,
@@ -60,51 +56,51 @@ class ForcingListExhausted(RuntimeError):
     """
 
 
-def forcing_points() -> tuple[tuple[int, int], ...]:
-    return FORCING_POINTS
+def _children(slots: CoveringTuple, point_index: int):
+    """One search step from ``slots``.
 
-
-def find_lattices(slots: CoveringTuple, point_index: int) -> list[CoveringTuple]:
-    """Expand ``slots`` at the first uncovered forcing point and recurse.
-
-    Returns every covering tuple found below this node.  The traversal
-    order is fixed: slots are tried in ascending order, only up to the
-    first rank-0 slot.
+    Skips the forcing points the union already covers, then adjoins the
+    first uncovered one to each slot in turn, up to the first rank-0 slot,
+    leaving out enlargements that are all of Z^2.  Yields
+    ``(child, covers, next_index)`` in slot order.
     """
     points = FORCING_POINTS
-    solutions: list[CoveringTuple] = []
     try:
         v = points[point_index]
-
-        last_slot = 0
-        while slots[last_slot].rank != 0 and last_slot < SLOTS - 1:
-            last_slot += 1
-
-        # Skip points already covered by the current union.
-        skipping = True
-        while skipping:
-            skipping = False
-            for s in slots:
-                if contains(s, v):
-                    skipping = True
-                    point_index += 1
-                    v = points[point_index]
-                    break
+        while any(contains(s, v) for s in slots):
+            point_index += 1
+            v = points[point_index]
     except IndexError:
         raise ForcingListExhausted(
             f"forcing list exhausted at position {point_index}"
         ) from None
 
+    last_slot = 0
+    while slots[last_slot].rank != 0 and last_slot < SLOTS - 1:
+        last_slot += 1
+
     work = list(slots)
     for i in range(last_slot + 1):
-        enlarged = adjoin(work[i], v)
+        enlarged = adjoin(slots[i], v)
         if not (contains(enlarged, _E1) and contains(enlarged, _E2)):
             work[i] = enlarged
-            if is_cover(work):
-                solutions.append(tuple(work))
-            else:
-                solutions.extend(find_lattices(tuple(work), point_index + 1))
+            child = tuple(work)
+            yield child, is_cover(child), point_index + 1
             work[i] = slots[i]
+
+
+def find_lattices(slots: CoveringTuple, point_index: int) -> list[CoveringTuple]:
+    """Every covering tuple found below the node ``slots``.
+
+    The traversal order is fixed: depth first, children in the order
+    :func:`_children` yields them.
+    """
+    solutions: list[CoveringTuple] = []
+    for child, covers, next_index in _children(slots, point_index):
+        if covers:
+            solutions.append(child)
+        else:
+            solutions.extend(find_lattices(child, next_index))
     return solutions
 
 
@@ -197,30 +193,11 @@ def _expand_frontier(min_tasks: int):
     solutions: list[CoveringTuple] = []
     tasks: list[tuple[CoveringTuple, int]] = [(EMPTY_TUPLE, 0)]
     while tasks and len(tasks) < min_tasks:
-        slots, point_index = tasks.pop(0)
-        v = FORCING_POINTS[point_index]
-        last_slot = 0
-        while slots[last_slot].rank != 0 and last_slot < SLOTS - 1:
-            last_slot += 1
-        skipping = True
-        while skipping:
-            skipping = False
-            for s in slots:
-                if contains(s, v):
-                    skipping = True
-                    point_index += 1
-                    v = FORCING_POINTS[point_index]
-                    break
-        work = list(slots)
-        for i in range(last_slot + 1):
-            enlarged = adjoin(work[i], v)
-            if not (contains(enlarged, _E1) and contains(enlarged, _E2)):
-                work[i] = enlarged
-                if is_cover(work):
-                    solutions.append(tuple(work))
-                else:
-                    tasks.append((tuple(work), point_index + 1))
-                work[i] = slots[i]
+        for child, covers, next_index in _children(*tasks.pop(0)):
+            if covers:
+                solutions.append(child)
+            else:
+                tasks.append((child, next_index))
     return solutions, tasks
 
 
@@ -230,7 +207,6 @@ def raw_solutions(workers: int = 1) -> list[CoveringTuple]:
     With ``workers > 1`` independent subtrees run in separate processes;
     the combined list is identical to the sequential one up to order.
     """
-    sys.setrecursionlimit(10_000)
     if workers <= 1:
         return find_lattices(EMPTY_TUPLE, 0)
     from concurrent.futures import ProcessPoolExecutor
@@ -242,25 +218,20 @@ def raw_solutions(workers: int = 1) -> list[CoveringTuple]:
     return head
 
 
-def enumerate_minimal_coverings(workers: int = 1) -> list[CoveringTuple]:
+def enumerate_minimal_coverings() -> list[CoveringTuple]:
     """The minimal coverings of Z^2 by up to six subgroups.
 
     Prunes every raw solution, deduplicates up to slot permutation, then
     keeps only tuples not strictly preceded by another tuple.  Both
     passes are order-normalized, so the outcome does not depend on the
-    traversal or on the worker count.
+    traversal order.
     """
     unique: dict[tuple, CoveringTuple] = {}
-    for t in raw_solutions(workers=workers):
+    for t in raw_solutions():
         p = _normalize_slots(prune(t))
         unique.setdefault(_canonical_sort_key(p), p)
     candidates = [unique[k] for k in sorted(unique)]
-    kept = []
-    for key, cand in zip(sorted(unique), candidates):
-        dominated = any(
-            other_key != key and precedes(other, cand)
-            for other_key, other in zip(sorted(unique), candidates)
-        )
-        if not dominated:
-            kept.append(cand)
-    return kept
+    return [
+        c for c in candidates
+        if not any(o is not c and precedes(o, c) for o in candidates)
+    ]

@@ -16,6 +16,7 @@ import math
 from dataclasses import dataclass
 
 from . import poly
+from .lattices import xgcd
 from .poly import Poly, leading_term, mono_divides, mono_key, mono_lcm, normal_form
 
 T1, T2, T3, T4 = (poly.variable(n) for n in ("t1", "t2", "t3", "t4"))
@@ -89,20 +90,6 @@ ORDER3_ELEMENTS = ("R", "R2")
 EXCEPTIONAL_TRIPLE = ("S", "RS", "R2S")
 
 
-def _xgcd(a: int, b: int) -> tuple[int, int, int]:
-    s, next_s = 1, 0
-    t, next_t = 0, 1
-    g, next_g = a, b
-    while next_g:
-        q = g // next_g
-        s, next_s = next_s, s - q * next_s
-        t, next_t = next_t, t - q * next_t
-        g, next_g = next_g, g - q * next_g
-    if g < 0:
-        g, s, t = -g, -s, -t
-    return g, s, t
-
-
 def _normalize(p: Poly) -> Poly:
     _, c = leading_term(p)
     return poly.neg(p) if c < 0 else p
@@ -136,7 +123,7 @@ def strong_groebner(gens) -> list[Poly]:
         i, j = pairs.pop(0)
         (mi, ci), (mj, cj) = leading_term(basis[i]), leading_term(basis[j])
         lcm = mono_lcm(mi, mj)
-        g, s, t = _xgcd(ci, cj)
+        g, s, t = xgcd(ci, cj)
         candidates = []
         lc = ci // g * cj
         candidates.append(

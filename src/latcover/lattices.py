@@ -24,7 +24,7 @@ Vec2 = tuple[int, int]
 INDEX_INFINITE = math.inf
 
 
-def _xgcd(a: int, b: int) -> tuple[int, int, int]:
+def xgcd(a: int, b: int) -> tuple[int, int, int]:
     """Return (g, s, t) with g = gcd(a, b) >= 0 and s*a + t*b = g."""
     s, next_s = 1, 0
     t, next_t = 0, 1
@@ -44,7 +44,7 @@ def _crt(r1: int, m1: int, r2: int, m2: int) -> tuple[int, int]:
 
     The system must be compatible; callers only build compatible systems.
     """
-    g, s, _ = _xgcd(m1, m2)
+    g, s, _ = xgcd(m1, m2)
     diff = r2 - r1
     if diff % g:
         raise ArithmeticError("incompatible congruences")
@@ -103,7 +103,7 @@ def canonicalize(gens) -> Subgroup:
     # clear the y-components and take the gcd of what is left on the axis.
     wx, wy = vecs[0]
     for vx, vy in vecs[1:]:
-        g, s, t = _xgcd(wy, vy)
+        g, s, t = xgcd(wy, vy)
         wx, wy = s * wx + t * vx, g
     b = wy
     xs = []

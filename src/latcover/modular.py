@@ -61,11 +61,6 @@ def top_pairs(t, n: int):
     return tuple(pairs)
 
 
-def bottom_firsts(t, n: int):
-    """The five P1 coefficients mod n, in the order R, R^2, S, RS, R^2S."""
-    return tuple(bot[0] % n for _, bot in coefficient_matrix(t))
-
-
 def class_count(pairs, n: int) -> int:
     """Number of low-order pairs plus the number of unit-scaling classes
     among the full-order ones.

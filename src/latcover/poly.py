@@ -131,24 +131,3 @@ def normal_form(p: Poly, basis) -> Poly:
             del p[m]
     return out
 
-
-def poly_str(p: Poly) -> str:
-    if not p:
-        return "0"
-    parts = []
-    for m in sorted(p, key=mono_key, reverse=True):
-        c = p[m]
-        factors = [
-            f"{VARS[i]}^{e}" if e > 1 else VARS[i]
-            for i, e in enumerate(m)
-            if e
-        ]
-        body = "*".join(factors)
-        if body:
-            if abs(c) != 1:
-                body = f"{abs(c)}*{body}"
-        else:
-            body = str(abs(c))
-        parts.append(("- " if c < 0 else "+ ") + body)
-    text = " ".join(parts)
-    return text[2:] if text.startswith("+ ") else "-" + text[2:]

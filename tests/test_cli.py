@@ -103,9 +103,40 @@ def test_form_compare_json(capsys):
     assert payload["unmatched_f"] == [] and payload["unmatched_g"] == []
 
 
-def test_threads_env_override(capsys, monkeypatch, tmp_path):
-    monkeypatch.setenv("LATTICE_COVER_THREADS", "2")
-    out_file = tmp_path / "cat2.txt"
-    code, out, _ = run(capsys, "enumerate", "--out", str(out_file))
+@pytest.mark.parametrize("argv", [
+    ("form", "check", "--coeffs", "0,1,1,0", "--conj", "0,0;0,0"),
+    ("form", "check", "--coeffs", "1/0,1"),
+])
+def test_form_check_zero_division_exits_2(capsys, argv):
+    code, out, err = run(capsys, *argv)
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error:")
+
+
+def test_verify_all_text_and_json(capsys, monkeypatch, pair_verdicts, triple_verdicts):
+    monkeypatch.setattr(
+        "latcover.cli.groebner.verify_all", lambda: pair_verdicts + triple_verdicts
+    )
+    code, text, _ = run(capsys, "verify-all")
     assert code == 0
-    assert "minimal coverings: 54" in out
+    code, out, _ = run(capsys, "--format", "json", "verify-all")
+    assert code == 0
+    payload = json.loads(out)
+    assert payload["command"] == "verify-all"
+    assert payload["ok"] is True
+    names = [c["name"] for c in payload["checks"]]
+    assert {
+        "catalog/counts-per-length",
+        "catalog/entries-incomparable",
+        "modular/pair-classes-mod-3",
+        "modular/quadratic-forms-mod-9",
+        "groebner/R-R2",
+        "groebner/S-RS-R2S",
+        "form/F0",
+        "form/sextic-1-0",
+        "form/XY(X+3Y)",
+        "form/value-sets-F0-vs-companion",
+    } <= set(names)
+    assert len(names) == 10 + 8 + 20 + 4
+    assert text.splitlines() == [f"PASS {n}" for n in names] + ["all checks passed"]

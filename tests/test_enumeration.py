@@ -1,4 +1,6 @@
 import random
+import sys
+from collections import Counter
 
 from latcover.enumeration import (
     EMPTY_TUPLE,
@@ -94,9 +96,17 @@ def test_minimal_coverings_counts(catalog):
 
 
 def test_workers_reproduce_sequential_result():
-    seq = enumerate_minimal_coverings(workers=1)
-    par = enumerate_minimal_coverings(workers=2)
-    assert seq == par
+    assert Counter(raw_solutions(workers=2)) == Counter(raw_solutions())
+
+
+def test_raw_solutions_keeps_recursion_limit():
+    before = sys.getrecursionlimit()
+    sys.setrecursionlimit(before + 1)
+    try:
+        raw_solutions()
+        assert sys.getrecursionlimit() == before + 1
+    finally:
+        sys.setrecursionlimit(before)
 
 
 def test_recursion_entry_point():
