@@ -123,9 +123,7 @@ def _cmd_verify_modular(args) -> int:
     }
     lines = []
     for r in reports:
-        tag = "PASS" if r.ok else "FAIL"
-        ctx = f" {r.context}" if r.context else ""
-        lines.append(f"{tag} {r.name} mod {r.modulus}{ctx}")
+        lines.append(f"{'PASS' if r.ok else 'FAIL'} {r.name} mod {r.modulus}")
         for clause, ok in r.clauses.items():
             lines.append(f"     {'ok  ' if ok else 'FAIL'} {clause}")
     _emit(args, payload, lines)

@@ -319,6 +319,8 @@ def cross_value_check(
         raise ValueError("value-set comparison requires integral forms")
     if m is None:
         m = 6 * n
+    if n < 0 or m < 0:
+        raise ValueError(f"box sizes must be non-negative, got {n} and {m}")
     f_small, g_small = _box_values(f, n), _box_values(g, n)
     f_big, g_big = _box_values(f, m), _box_values(g, m)
     unmatched_f = [

@@ -11,13 +11,16 @@ reducing the constant against a strong Groebner basis over Z.
 
 from __future__ import annotations
 
+import heapq
 import itertools
 import math
 from dataclasses import dataclass
 
 from . import poly
 from .lattices import xgcd
-from .poly import Poly, leading_term, mono_divides, mono_key, mono_lcm, normal_form
+from .poly import (
+    Monomial, Poly, leading_term, mono_divides, mono_key, mono_lcm, normal_form,
+)
 
 T1, T2, T3, T4 = (poly.variable(n) for n in ("t1", "t2", "t3", "t4"))
 U1, U2, U3, U4 = (poly.variable(n) for n in ("u1", "u2", "u3", "u4"))
@@ -90,11 +93,6 @@ ORDER3_ELEMENTS = ("R", "R2")
 EXCEPTIONAL_TRIPLE = ("S", "RS", "R2S")
 
 
-def _normalize(p: Poly) -> Poly:
-    _, c = leading_term(p)
-    return poly.neg(p) if c < 0 else p
-
-
 def strong_groebner(gens) -> list[Poly]:
     """A strong Groebner basis over Z of the ideal generated by ``gens``.
 
@@ -104,62 +102,68 @@ def strong_groebner(gens) -> list[Poly]:
     3*t1^2 - t2 it would miss t2^2).  The gcd-polynomial is skipped only
     when one leading coefficient divides the other, in which case it is
     a plain monomial multiple of a basis element.
+
+    Pairs wait in a heap under the normal strategy: smallest lcm of the
+    two leading monomials first, ties broken by creation order (the
+    generator pairs in ``itertools.combinations`` order, then each new
+    element's pairs with the older ones by index).  Each pair is keyed
+    once, when it is made, and every pair is eventually processed.
     """
     basis: list[Poly] = []
+    leads: list[tuple[Monomial, int]] = []  # leading term of each element
+
+    def append(g: Poly) -> None:
+        m, c = leading_term(g)
+        if c < 0:
+            g, c = poly.neg(g), -c
+        basis.append(g)
+        leads.append((m, c))
+
     for g in gens:
         g = normal_form(g, basis)
         if g:
-            basis.append(_normalize(g))
-    pairs = list(itertools.combinations(range(len(basis)), 2))
-    while pairs:
-        # Normal strategy: smallest lcm of the leading monomials first.
-        pairs.sort(
-            key=lambda ij: mono_key(
-                mono_lcm(
-                    leading_term(basis[ij[0]])[0], leading_term(basis[ij[1]])[0]
-                )
-            )
-        )
-        i, j = pairs.pop(0)
-        (mi, ci), (mj, cj) = leading_term(basis[i]), leading_term(basis[j])
+            append(g)
+    queue: list[tuple] = []  # (mono_key(lcm), creation counter, i, j)
+    counter = itertools.count()
+
+    def push(i: int, j: int) -> None:
+        lcm = mono_lcm(leads[i][0], leads[j][0])
+        heapq.heappush(queue, (mono_key(lcm), next(counter), i, j))
+
+    for i, j in itertools.combinations(range(len(basis)), 2):
+        push(i, j)
+    while queue:
+        _, _, i, j = heapq.heappop(queue)
+        (mi, ci), (mj, cj) = leads[i], leads[j]
         lcm = mono_lcm(mi, mj)
+        ui, uj = poly.mono_div(lcm, mi), poly.mono_div(lcm, mj)
         g, s, t = xgcd(ci, cj)
-        candidates = []
         lc = ci // g * cj
-        candidates.append(
+        candidates = [
             poly.sub(
-                poly.term_mul(basis[i], poly.mono_div(lcm, mi), lc // ci),
-                poly.term_mul(basis[j], poly.mono_div(lcm, mj), lc // cj),
+                poly.term_mul(basis[i], ui, lc // ci),
+                poly.term_mul(basis[j], uj, lc // cj),
             )
-        )
+        ]
         if ci % cj and cj % ci:
             candidates.append(
-                poly.add(
-                    poly.term_mul(basis[i], poly.mono_div(lcm, mi), s),
-                    poly.term_mul(basis[j], poly.mono_div(lcm, mj), t),
-                )
+                poly.add(poly.term_mul(basis[i], ui, s), poly.term_mul(basis[j], uj, t))
             )
         for cand in candidates:
             h = normal_form(cand, basis)
             if h:
-                h = _normalize(h)
-                pairs.extend((k, len(basis)) for k in range(len(basis)))
-                basis.append(h)
+                append(h)
+                for k in range(len(basis) - 1):
+                    push(k, len(basis) - 1)
     # Interreduce: drop elements whose leading term another one divides.
     reduced = []
-    for i, g in enumerate(basis):
-        (m, c) = leading_term(g)
-        keep = True
-        for k, other in enumerate(basis):
-            if k == i:
-                continue
-            (m2, c2) = leading_term(other)
-            if mono_divides(m2, m) and c % c2 == 0:
-                if k < i or leading_term(other) != (m, c):
-                    keep = False
-                    break
-        if keep:
-            reduced.append(normal_form_tail(g, basis, i))
+    for i, (m, c) in enumerate(leads):
+        if not any(
+            k != i and mono_divides(m2, m) and c % c2 == 0
+            and (k < i or (m2, c2) != (m, c))
+            for k, (m2, c2) in enumerate(leads)
+        ):
+            reduced.append(normal_form_tail(basis[i], basis, i))
     return sorted(reduced, key=lambda p: mono_key(leading_term(p)[0]))
 
 

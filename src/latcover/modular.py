@@ -205,7 +205,11 @@ def scan_lifted_classes(rep) -> ScanReport:
     rep = tuple(rep)
     if rep not in BAD_TUPLE_REPS:
         raise ValueError(f"{rep} is not one of the scan representatives")
-    report = ScanReport(name="lifted-classes", modulus=9, context={"rep": rep})
+    report = ScanReport(
+        name=f"lifted-classes-({','.join(map(str, rep))})",
+        modulus=9,
+        context={"rep": rep},
+    )
     violations = []
     for a in range(3):
         for b in range(3):

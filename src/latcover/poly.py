@@ -97,7 +97,9 @@ def mul(p: Poly, q: Poly) -> Poly:
 def leading_term(p: Poly) -> tuple[Monomial, int]:
     if not p:
         raise ValueError("zero polynomial has no leading term")
-    m = max(p, key=mono_key)
+    # The degrevlex maximum: highest degree, then the smallest exponent
+    # tuple read from the last variable, i.e. the largest mono_key.
+    m = min(p, key=lambda m: (-sum(m), m[::-1]))
     return m, p[m]
 
 

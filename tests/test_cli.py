@@ -103,6 +103,17 @@ def test_form_compare_json(capsys):
     assert payload["unmatched_f"] == [] and payload["unmatched_g"] == []
 
 
+@pytest.mark.parametrize("box", [("--n", "-1"), ("--m", "-3")])
+def test_form_compare_negative_box_exits_2(capsys, box):
+    code, out, err = run(
+        capsys, "form", "compare", "--f", "0,1,1,0", "--g", "0,4,2,0",
+        "--n", "2", "--m", "12", *box,
+    )
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error:")
+
+
 @pytest.mark.parametrize("argv", [
     ("form", "check", "--coeffs", "0,1,1,0", "--conj", "0,0;0,0"),
     ("form", "check", "--coeffs", "1/0,1"),
@@ -130,6 +141,7 @@ def test_verify_all_text_and_json(capsys, monkeypatch, pair_verdicts, triple_ver
         "catalog/counts-per-length",
         "catalog/entries-incomparable",
         "modular/pair-classes-mod-3",
+        "modular/lifted-classes-(0,1,0,1)-mod-9",
         "modular/quadratic-forms-mod-9",
         "groebner/R-R2",
         "groebner/S-RS-R2S",
@@ -138,5 +150,11 @@ def test_verify_all_text_and_json(capsys, monkeypatch, pair_verdicts, triple_ver
         "form/XY(X+3Y)",
         "form/value-sets-F0-vs-companion",
     } <= set(names)
-    assert len(names) == 10 + 8 + 20 + 4
+    assert len(names) == len(set(names)) == 10 + 8 + 20 + 4
     assert text.splitlines() == [f"PASS {n}" for n in names] + ["all checks passed"]
+
+
+def test_verify_modular_mod9_names_representatives(capsys):
+    code, out, _ = run(capsys, "verify-modular", "--modulus", "9")
+    assert code == 0
+    assert "PASS lifted-classes-(1,2,1,2) mod 9" in out.splitlines()

@@ -57,6 +57,17 @@ small_polys = st.lists(
 )
 
 
+@given(st.dictionaries(
+    st.tuples(*(st.integers(0, 3) for _ in range(poly.NVARS))),
+    st.integers(-5, 5).filter(bool),
+    min_size=1,
+    max_size=12,
+))
+def test_leading_term_is_degrevlex_maximum(p):
+    m = max(p, key=poly.mono_key)
+    assert poly.leading_term(p) == (m, p[m])
+
+
 @given(st.lists(small_polys, min_size=1, max_size=3))
 @settings(max_examples=40, deadline=None)
 def test_groebner_reduces_generators_to_zero(gens):
@@ -93,6 +104,21 @@ def test_pair_system_shapes():
         assert len(gens) == 9
     for combo in itertools.combinations(ELEMENT_NAMES, 3):
         assert len(triple_system(*combo)) == 5
+
+
+def test_reduced_basis_sizes():
+    sizes = {
+        combo: len(strong_groebner(pair_system(*combo)))
+        for combo in itertools.combinations(ELEMENT_NAMES, 2)
+    }
+    sizes.update(
+        (combo, len(strong_groebner(triple_system(*combo))))
+        for combo in itertools.combinations(ELEMENT_NAMES, 3)
+    )
+    expected = {combo: 4 if len(combo) == 2 else 5 for combo in sizes}
+    expected[ORDER3_ELEMENTS] = 7
+    expected[EXCEPTIONAL_TRIPLE] = 10
+    assert sizes == expected
 
 
 def test_pair_verdicts(pair_verdicts):
