@@ -29,8 +29,7 @@ def column_form(s: Subgroup) -> tuple[int, int, int, int]:
     b2 = b * (a // g)
     if c:
         # Smallest y with (g, y) in the subgroup: solve k*c = g (mod a).
-        step = a // math.gcd(a, c)
-        k = next(k for k in range(step) if (k * c - g) % a == 0)
+        k = pow(c // g, -1, a // g)
         c2 = (b * k) % b2
     else:
         c2 = 0

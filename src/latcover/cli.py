@@ -94,28 +94,10 @@ def _cmd_verify_catalog(args) -> int:
     return _emit_checks(args, "verify-catalog", catalog_mod.verify_catalog(cat))
 
 
-def _modular_reports(modulus):
-    if modulus is None:
-        return modular.run_all_scans()
-    if modulus in (3, 4, 5):
-        reports = [modular.scan_pair_classes(modulus)]
-        if modulus == 3:
-            reports.append(modular.scan_first_coefficient_vanishing())
-        return reports
-    if modulus == 9:
-        return [
-            *(modular.scan_lifted_classes(r) for r in modular.BAD_TUPLE_REPS),
-            modular.scan_quadratic_forms_mod9(),
-        ]
-    raise ValueError("modulus must be one of 3, 4, 5, 9")
-
-
 def _cmd_verify_modular(args) -> int:
-    try:
-        reports = _modular_reports(args.modulus)
-    except ValueError as exc:
-        print(str(exc), file=sys.stderr)
-        return 2
+    reports = [
+        r for r in modular.run_all_scans() if args.modulus in (None, r.modulus)
+    ]
     payload = {
         "command": "verify-modular",
         "reports": [r.to_dict() for r in reports],

@@ -56,12 +56,13 @@ F0 = BinaryForm.of(0, 1, 1, 0)  # X*Y*(X + Y)
 
 
 def evaluate(f: BinaryForm, x, y) -> Fraction:
-    x, y = Fraction(x), Fraction(y)
-    d = f.degree
-    return sum(
-        (c * x ** (d - i) * y**i for i, c in enumerate(f.coeffs)),
-        start=Fraction(0),
-    )
+    """F(x, y) for integers or fractions x, y, by Horner's rule in x."""
+    acc = f.coeffs[0]
+    ypow = 1
+    for c in f.coeffs[1:]:
+        ypow *= y
+        acc = acc * x + c * ypow
+    return acc
 
 
 def _poly_mul(p: list[Fraction], q: list[Fraction]) -> list[Fraction]:

@@ -42,8 +42,13 @@ def _m(*factors) -> Poly:
 
 ELEMENT_NAMES = ("R", "R2", "S", "RS", "R2S")
 
-#: For each non-identity element, the four coefficient polynomials
-#: (top1, top2, bot1, bot2) of its pair of defining congruences.
+#: For each non-identity element g, the four coefficient polynomials
+#: (top1, top2, bot1, bot2) of its pair of defining congruences.  With
+#: T = (t1 t2; t3 t4), (top1, top2) and (bot1, bot2) are, up to sign, the
+#: two rows of adj(T) g T.  This is the one definition of these
+#: polynomials: the residue scans in ``modular``, the mod-7 oracle and
+#: the ideal-membership certificates all evaluate or reduce these.  The
+#: signs decide the exact reduced bases; do not change them.
 COEFF_POLYS: dict[str, tuple[Poly, Poly, Poly, Poly]] = {
     "R": (
         _p(_m(T1, T2), _m(T2, T3), _m(T3, T4)),
@@ -281,16 +286,6 @@ def has_common_zero_mod7(system_elements, kind: str) -> bool:
                 continue
             if math.gcd(t[1], math.gcd(t[3], 7)) != 1:
                 continue
-        if all(_eval_mod(q, t, 7) == 0 for q in polys):
+        if all(poly.evaluate(q, t) % 7 == 0 for q in polys):
             return True
     return False
-
-
-def _eval_mod(p: Poly, t, n: int) -> int:
-    total = 0
-    for m, c in p.items():
-        v = c
-        for e, x in zip(m[:4], t):
-            v *= x**e
-        total += v
-    return total % n

@@ -247,20 +247,17 @@ def lattice_of(gamma) -> Subgroup:
     ``gamma`` is a 2x2 rational matrix with nonzero determinant.  The
     result only depends on gamma up to sign, and equals Z^2 exactly when
     gamma is integral.
+
+    The subgroup is Z^2 intersected with the lattice spanned by the
+    columns of gamma^-1.  Scaled by the common denominator D of gamma^-1
+    both are integral, so the intersection is taken in D Z^2 and divided
+    by D.
     """
-    if gamma.det() == 0:
-        raise ZeroDivisionError("matrix is singular")
-    entries = (gamma.a, gamma.b, gamma.c, gamma.d)
-    m = 1
-    for e in entries:
-        m = m // math.gcd(m, Fraction(e).denominator) * Fraction(e).denominator
-    na, nb, nc, nd = (int(e * m) for e in entries)
-    gens = [(m, 0), (0, m)]
-    for x in range(m):
-        for y in range(m):
-            if (na * x + nb * y) % m == 0 and (nc * x + nd * y) % m == 0:
-                gens.append((x, y))
-    return canonicalize(gens)
+    inv = gamma.inverse()
+    d = math.lcm(*(e.denominator for e in inv.entries()))
+    cols = canonicalize([(inv.a * d, inv.c * d), (inv.b * d, inv.d * d)])
+    (a, _), (c, b) = intersect(cols, canonicalize([(d, 0), (0, d)])).gens
+    return Subgroup(((a // d, 0), (c // d, b // d)))
 
 
 def density_sum(subgroups) -> Fraction:

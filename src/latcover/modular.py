@@ -2,9 +2,12 @@
 by the covering analysis.
 
 For a parameter tuple t = (t1, t2, t3, t4) the six group elements
-(id, R, R^2, S, RS, R^2S conjugated) give rise to linear congruences; the
-scans below exhaustively check the claimed bounds on the number of
-equivalence classes of their coefficient pairs over small moduli.
+(id, R, R^2, S, RS, R^2S conjugated) give rise to linear congruences.
+The identity contributes the pair (1, 0); the other five contribute the
+values at t of their first-row polynomials in ``groebner.COEFF_POLYS``,
+the one definition the Groebner certificates reduce as well.  The scans
+below exhaustively check the claimed bounds on the number of equivalence
+classes of these coefficient pairs over small moduli.
 """
 
 from __future__ import annotations
@@ -12,7 +15,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 
-SIGMA_NAMES = ("id", "R", "R2", "S", "RS", "R2S")
+from .groebner import COEFF_POLYS, ELEMENT_NAMES
+from .poly import evaluate
 
 #: Exceptional residue tuples mod 3: all five non-identity coefficient
 #: pairs vanish exactly on these.
@@ -30,34 +34,19 @@ TRIPLE_VANISHING_TUPLES = (
 )
 
 
-def coefficient_matrix(t):
-    """Integer coefficient rows ((p1, p2), (P1, P2)) for each non-identity
-    element, in the order R, R^2, S, RS, R^2S.
-
-    (p1, p2) are the x1/x2 coefficients of the first defining congruence
-    of the associated lattice and (P1, P2) those of the second.
-    """
-    t1, t2, t3, t4 = t
-    return (
-        ((t1 * t2 + t2 * t3 + t3 * t4, t2 * t2 + t2 * t4 + t4 * t4),
-         (t1 * t1 + t1 * t3 + t3 * t3, t1 * t2 + t1 * t4 + t3 * t4)),
-        ((t1 * t2 + t1 * t4 + t3 * t4, t2 * t2 + t2 * t4 + t4 * t4),
-         (t1 * t1 + t1 * t3 + t3 * t3, t1 * t2 + t2 * t3 + t3 * t4)),
-        ((t3 * t4 - t1 * t2, t4 * t4 - t2 * t2),
-         (t3 * t3 - t1 * t1, t3 * t4 - t1 * t2)),
-        ((t1 * t2 + t1 * t4 + t2 * t3, t2 * t2 + 2 * t2 * t4),
-         (t1 * t1 + 2 * t1 * t3, t1 * t2 + t1 * t4 + t2 * t3)),
-        ((t1 * t4 + t2 * t3 + t3 * t4, t4 * t4 + 2 * t2 * t4),
-         (t3 * t3 + 2 * t1 * t3, t1 * t4 + t2 * t3 + t3 * t4)),
-    )
+def _top_rows(t):
+    """The first-row coefficient pairs (top1, top2) of the five
+    non-identity elements at ``t``, in ``ELEMENT_NAMES`` order."""
+    return [
+        (evaluate(COEFF_POLYS[e][0], t), evaluate(COEFF_POLYS[e][1], t))
+        for e in ELEMENT_NAMES
+    ]
 
 
 def top_pairs(t, n: int):
     """The six (p1, p2) coefficient pairs mod n, identity first."""
     pairs = [(1 % n, 0)]
-    pairs.extend(
-        (p1 % n, p2 % n) for (p1, p2), _ in coefficient_matrix(t)
-    )
+    pairs.extend((p1 % n, p2 % n) for p1, p2 in _top_rows(t))
     return tuple(pairs)
 
 
@@ -220,7 +209,7 @@ def scan_lifted_classes(rep) -> ScanReport:
                         3 * c + rep[2], 3 * d + rep[3],
                     )
                     pairs = [(1, 0)]
-                    for (p1, p2), _ in coefficient_matrix(t):
+                    for p1, p2 in _top_rows(t):
                         pairs.append((p1 // 3 % 3, p2 // 3 % 3))
                     if class_count(pairs, 3) > 3 or low_order_count(pairs, 3) > 1:
                         violations.append(t)

@@ -94,6 +94,19 @@ def mul(p: Poly, q: Poly) -> Poly:
     return out
 
 
+def evaluate(p: Poly, point) -> int:
+    """The value of ``p`` at ``point``, the values of the leading
+    variables in order (t1, t2, ...).  Variables past ``point`` must not
+    occur in ``p``."""
+    total = 0
+    for m, c in p.items():
+        for x, e in zip(point, m):
+            if e:
+                c *= x**e
+        total += c
+    return total
+
+
 def leading_term(p: Poly) -> tuple[Monomial, int]:
     if not p:
         raise ValueError("zero polynomial has no leading term")

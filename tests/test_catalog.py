@@ -1,6 +1,8 @@
 import math
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from latcover.catalog import (
     COVER_4_6,
@@ -24,6 +26,18 @@ from latcover.lattices import ZERO, Subgroup, canonicalize, contains, index, is_
 def test_subgroup_text_roundtrip():
     for text in ("1,0;1,2", "2,0;0,1", "5,0;3,5", "1,2", "0"):
         assert subgroup_text(parse_subgroup(text)) == text
+
+
+canonical_rank2 = st.tuples(st.integers(1, 200), st.integers(1, 200)).flatmap(
+    lambda ab: st.builds(
+        lambda c: Subgroup(((ab[0], 0), (c, ab[1]))), st.integers(0, ab[0] - 1)
+    )
+)
+
+
+@given(canonical_rank2)
+def test_subgroup_text_roundtrip_random(s):
+    assert parse_subgroup(subgroup_text(s)) == s
 
 
 def test_column_form_matches_membership():

@@ -1,9 +1,13 @@
 import json
 import re
+import shlex
+from pathlib import Path
 
 import pytest
 
 from latcover.cli import EX_USAGE, main
+
+README = Path(__file__).resolve().parent.parent / "README.md"
 
 
 def run(capsys, *argv):
@@ -28,6 +32,33 @@ def test_verify_modular_single_modulus(capsys):
     code, out, _ = run(capsys, "verify-modular", "--modulus", "5")
     assert code == 0
     assert "PASS pair-classes mod 5" in out
+
+
+@pytest.mark.parametrize("modulus, names", [
+    (3, ["pair-classes", "first-coefficient-vanishing"]),
+    (4, ["pair-classes"]),
+    (5, ["pair-classes"]),
+    (9, [
+        "lifted-classes-(0,1,0,1)",
+        "lifted-classes-(1,1,1,1)",
+        "lifted-classes-(1,2,1,2)",
+        "quadratic-forms",
+    ]),
+])
+def test_verify_modular_report_names(capsys, modulus, names):
+    code, out, _ = run(capsys, "verify-modular", "--modulus", str(modulus))
+    assert code == 0
+    assert [line for line in out.splitlines() if not line.startswith(" ")] == [
+        f"PASS {name} mod {modulus}" for name in names
+    ]
+    code, out, _ = run(
+        capsys, "--format", "json", "verify-modular", "--modulus", str(modulus)
+    )
+    assert code == 0
+    reports = json.loads(out)["reports"]
+    assert [(r["name"], r["modulus"]) for r in reports] == [
+        (name, modulus) for name in names
+    ]
 
 
 def test_verify_modular_json_deterministic(capsys):
@@ -158,3 +189,24 @@ def test_verify_modular_mod9_names_representatives(capsys):
     code, out, _ = run(capsys, "verify-modular", "--modulus", "9")
     assert code == 0
     assert "PASS lifted-classes-(1,2,1,2) mod 9" in out.splitlines()
+
+
+def _readme_cli_lines():
+    """The ``latcover ...`` lines of the README's CLI code block."""
+    section = README.read_text().split("\n## CLI\n", 1)[1]
+    block = section.split("```sh\n", 1)[1].split("```", 1)[0]
+    return [line for line in block.splitlines() if line.startswith("latcover ")]
+
+
+def test_readme_cli_examples_run(
+    capsys, monkeypatch, tmp_path, pair_verdicts, triple_verdicts
+):
+    monkeypatch.setattr(
+        "latcover.cli.groebner.verify_all", lambda: pair_verdicts + triple_verdicts
+    )
+    monkeypatch.chdir(tmp_path)
+    lines = _readme_cli_lines()
+    assert len(lines) == 7
+    for line in lines:
+        code, _, err = run(capsys, *shlex.split(line, comments=True)[1:])
+        assert code == 0, (line, err)

@@ -2,7 +2,7 @@ import random
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from latcover.forms import (
@@ -38,6 +38,26 @@ def test_evaluate_examples():
     assert evaluate(F0, 1, 1) == 2
     assert evaluate(F0, 7, 0) == 0
     assert evaluate(sextic(1, 0), 1, 1) == 1
+
+
+rational = st.builds(Fraction, st.integers(-9, 9), st.integers(1, 5))
+
+
+@given(
+    st.lists(rational, min_size=2, max_size=8).filter(any),
+    st.integers(-20, 20),
+    st.integers(-20, 20),
+)
+@example([Fraction(1, 2), Fraction(-3)], 0, 0)
+def test_evaluate_matches_termwise_sum(coeffs, x, y):
+    f = BinaryForm.of(*coeffs)
+    d = f.degree
+    termwise = sum(
+        (c * Fraction(x) ** (d - i) * Fraction(y) ** i
+         for i, c in enumerate(f.coeffs)),
+        start=Fraction(0),
+    )
+    assert evaluate(f, x, y) == termwise
 
 
 def test_compose_examples():

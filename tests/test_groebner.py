@@ -5,6 +5,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from latcover import poly
+from latcover.forms import R_MAT, S_MAT
 from latcover.groebner import (
     COEFF_POLYS,
     ELEMENT_NAMES,
@@ -17,30 +18,74 @@ from latcover.groebner import (
     strong_groebner,
     triple_system,
 )
-from latcover.modular import coefficient_matrix
+from latcover.mat2 import RatMat2
+
+#: The non-identity elements of D3 as matrices, with RS = R*S and
+#: R2S = R^2*S.
+GROUP_MATRICES = {
+    "R": R_MAT,
+    "R2": R_MAT @ R_MAT,
+    "S": S_MAT,
+    "RS": R_MAT @ S_MAT,
+    "R2S": R_MAT @ R_MAT @ S_MAT,
+}
+#: Sign of each coefficient row of adj(T) g T against the polynomials.
+TOP_SIGN = {"R": 1, "R2": -1, "S": 1, "RS": 1, "R2S": -1}
+BOTTOM_SIGN = {"R": -1, "R2": 1, "S": 1, "RS": -1, "R2S": 1}
 
 
-def _eval_poly(p, t):
-    total = 0
-    for m, c in p.items():
-        v = c
-        for e, x in zip(m[:4], t):
-            v *= x**e
-        total += v
-    return total
+def _rows(name, t):
+    """The (top, bottom) coefficient pairs of ``name`` evaluated at t."""
+    p1, p2, q1, q2 = (poly.evaluate(q, t) for q in COEFF_POLYS[name])
+    return (p1, p2), (q1, q2)
 
 
-def test_polynomials_match_scan_coefficients():
-    # The symbolic coefficient polynomials and the numeric scan agree on
-    # a grid of integer tuples.
+def test_coefficient_polynomials_are_conjugate_rows():
+    # With T = (t1 t2; t3 t4), the two rows of adj(T) g T are the top and
+    # bottom coefficient pairs of g, each with a fixed sign.
     for t in itertools.product(range(-3, 4), repeat=4):
-        numeric = coefficient_matrix(t)
-        for name, (top, bot) in zip(ELEMENT_NAMES, numeric):
-            p1, p2, q1, q2 = COEFF_POLYS[name]
-            assert _eval_poly(p1, t) == top[0]
-            assert _eval_poly(p2, t) == top[1]
-            assert abs(_eval_poly(q1, t)) == abs(bot[0])
-            assert abs(_eval_poly(q2, t)) == abs(bot[1])
+        t1, t2, t3, t4 = t
+        mat_t = RatMat2.of(t1, t2, t3, t4)
+        adj_t = RatMat2.of(t4, -t2, -t3, t1)
+        for name, g in GROUP_MATRICES.items():
+            m = adj_t @ g @ mat_t
+            (p1, p2), (q1, q2) = _rows(name, t)
+            assert (m.a, m.b) == (TOP_SIGN[name] * p1, TOP_SIGN[name] * p2)
+            assert (m.c, m.d) == (
+                BOTTOM_SIGN[name] * q1, BOTTOM_SIGN[name] * q2,
+            )
+
+
+@given(st.tuples(*(st.integers(-30, 30) for _ in range(4))))
+def test_swap_symmetry_exchanges_rows(t):
+    # Swapping (t1, t2) with (t2, t1) and (t3, t4) with (t4, t3)
+    # exchanges the two congruence rows of every element, with the
+    # coefficients of x1 and x2 swapped; only S also flips the sign.
+    theta = (t[1], t[0], t[3], t[2])
+    for name in ELEMENT_NAMES:
+        s = -1 if name == "S" else 1
+        top_t, bot_t = _rows(name, t)
+        top_s, bot_s = _rows(name, theta)
+        assert top_s == (s * bot_t[1], s * bot_t[0])
+        assert bot_s == (s * top_t[1], s * top_t[0])
+
+
+@given(
+    st.dictionaries(
+        st.tuples(*(st.integers(0, 3) for _ in range(4))).map(
+            lambda e: e + (0,) * 4
+        ),
+        st.integers(-5, 5).filter(bool),
+        max_size=6,
+    ),
+    st.tuples(*(st.integers(-4, 4) for _ in range(4))),
+)
+def test_evaluate_matches_termwise_sum(p, t):
+    expected = sum(
+        c * t[0] ** m[0] * t[1] ** m[1] * t[2] ** m[2] * t[3] ** m[3]
+        for m, c in p.items()
+    )
+    assert poly.evaluate(p, t) == expected
 
 
 small_polys = st.lists(

@@ -223,6 +223,33 @@ def test_lattice_of_index_multiple_law_on_200_matrices():
         assert lattice_of(-g) == lam
 
 
+def _lattice_of_by_residues(gamma):
+    """Reference: canonicalize every residue x in (Z/m)^2 with gamma x
+    integral, m the common denominator of gamma, together with m Z^2."""
+    entries = gamma.entries()
+    m = math.lcm(*(e.denominator for e in entries))
+    na, nb, nc, nd = (int(e * m) for e in entries)
+    gens = [(m, 0), (0, m)]
+    for x in range(m):
+        for y in range(m):
+            if (na * x + nb * y) % m == 0 and (nc * x + nd * y) % m == 0:
+                gens.append((x, y))
+    return canonicalize(gens)
+
+
+# Denominators up to 6 keep the reference loop at most 60 x 60.
+rationals = st.builds(Fraction, st.integers(-9, 9), st.integers(1, 6))
+
+
+@given(st.builds(RatMat2, rationals, rationals, rationals, rationals))
+def test_lattice_of_matches_residue_loop(g):
+    if g.det() == 0:
+        with pytest.raises(ZeroDivisionError):
+            lattice_of(g)
+    else:
+        assert lattice_of(g) == _lattice_of_by_residues(g)
+
+
 def test_lattice_of_integral_iff_full():
     assert lattice_of(RatMat2.of(1, 2, 3, 4)) == FULL
     assert lattice_of(RatMat2.of(Fraction(1, 2), 0, 0, 1)) == canonicalize(
