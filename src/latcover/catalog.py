@@ -148,7 +148,10 @@ def parse(text: str) -> Catalog:
             if entry.length != length:
                 raise ValueError
         except ValueError as exc:
-            raise ValueError(f"line {lineno}: malformed catalog line {line!r}") from exc
+            reason = f": {exc}" if str(exc) else ""
+            raise ValueError(
+                f"line {lineno}: malformed catalog line {line!r}{reason}"
+            ) from exc
         entries.append(entry)
     return Catalog(entries)
 

@@ -138,17 +138,14 @@ def precedes(a: CoveringTuple, b: CoveringTuple) -> bool:
     """
     k = len(a) - 1
     for i, s in enumerate(a):
-        if s.rank == 0:
+        if not s.gens:
             k = i
             break
+    if not all(is_subgroup_of(a[i], b[i]) for i in range(k + 1, len(a))):
+        return False
     compat = [
         [is_subgroup_of(a[i], b[j]) for j in range(k + 1)] for i in range(k + 1)
     ]
-    tail_ok = all(
-        is_subgroup_of(a[i], b[i]) for i in range(k + 1, len(a))
-    )
-    if not tail_ok:
-        return False
 
     used = [False] * (k + 1)
 

@@ -1,6 +1,7 @@
 import json
 import re
 import shlex
+import time
 from pathlib import Path
 
 import pytest
@@ -94,6 +95,19 @@ def test_verify_catalog_rejects_corrupt_file(capsys, tmp_path):
     code, _, err = run(capsys, "verify-catalog", "--in", str(bad))
     assert code == 2
     assert "line 1" in err
+
+
+def test_verify_catalog_rejects_huge_index(capsys, tmp_path):
+    # A lattice of index 10^12 would make the covering test scan 2 * 10^12
+    # points; it is rejected as a data error instead.
+    huge = tmp_path / "huge.cat"
+    huge.write_text("len=4 | 2,0;0,1 | 1,0;0,2 | 1,0;1,2 | 1000000000000,0;0,1\n")
+    start = time.perf_counter()
+    code, _, err = run(capsys, "verify-catalog", "--in", str(huge))
+    assert time.perf_counter() - start < 5
+    assert code == 2
+    assert err.startswith("error: line 1: ")
+    assert "Traceback" not in err
 
 
 def test_form_check(capsys):

@@ -1,6 +1,10 @@
+import itertools
 import random
 import sys
 from collections import Counter
+
+from hypothesis import given
+from hypothesis import strategies as st
 
 from latcover.enumeration import (
     EMPTY_TUPLE,
@@ -12,7 +16,14 @@ from latcover.enumeration import (
     prune,
     raw_solutions,
 )
-from latcover.lattices import ZERO, Subgroup, canonicalize, contains, is_cover
+from latcover.lattices import (
+    ZERO,
+    Subgroup,
+    adjoin,
+    canonicalize,
+    contains,
+    is_cover,
+)
 
 # The unique length-3 covering: even x, even y, and x = y (mod 2).
 LENGTH3 = (
@@ -83,6 +94,55 @@ def test_precedes_partial_order():
     ) + (ZERO,) * 3
     assert precedes(finer, a)
     assert not precedes(a, finer)
+
+
+def _precedes_by_permutations(a, b):
+    """Reference: try every permutation of the slots up to and including
+    the first rank-0 slot of ``a``; later slots must match in place."""
+    def inside(p, q):
+        return all(contains(q, g) for g in p.gens)
+
+    k = next((i for i, s in enumerate(a) if s.rank == 0), len(a) - 1)
+    if not all(inside(a[i], b[i]) for i in range(k + 1, len(a))):
+        return False
+    return any(
+        all(inside(a[i], b[perm[i]]) for i in range(k + 1))
+        for perm in itertools.permutations(range(k + 1))
+    )
+
+
+_small_subgroup = st.one_of(
+    st.just(ZERO),
+    st.lists(
+        st.tuples(st.integers(-4, 4), st.integers(-4, 4)), min_size=1, max_size=3
+    ).map(canonicalize),
+)
+
+
+@st.composite
+def _tuple_pairs(draw):
+    """A padded 6-slot tuple and a second one that is often coarser."""
+    n = draw(st.integers(1, SLOTS))
+    a = draw(st.lists(_small_subgroup, min_size=n, max_size=n))
+    a += draw(
+        st.lists(_small_subgroup, min_size=SLOTS - n, max_size=SLOTS - n)
+        if draw(st.booleans())
+        else st.just([ZERO] * (SLOTS - n))
+    )
+    if draw(st.booleans()):
+        b = list(draw(st.permutations(a)))
+        for i in range(SLOTS):
+            if draw(st.booleans()):
+                b[i] = adjoin(b[i], draw(st.tuples(st.integers(-3, 3), st.integers(-3, 3))))
+    else:
+        b = draw(st.lists(_small_subgroup, min_size=SLOTS, max_size=SLOTS))
+    return tuple(a), tuple(b)
+
+
+@given(_tuple_pairs())
+def test_precedes_matches_permutation_search(pair):
+    a, b = pair
+    assert precedes(a, b) == _precedes_by_permutations(a, b)
 
 
 def test_minimal_coverings_counts(catalog):

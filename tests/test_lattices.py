@@ -1,6 +1,7 @@
 import math
 import random
 from fractions import Fraction
+from functools import reduce
 
 import pytest
 from hypothesis import given, settings
@@ -9,13 +10,13 @@ from hypothesis import strategies as st
 from latcover.lattices import (
     FULL,
     INDEX_INFINITE,
+    MAX_COVER_INDEX,
     ZERO,
     Subgroup,
     adjoin,
     canonicalize,
     contains,
     density_sum,
-    fundamental_domain,
     index,
     intersect,
     is_cover,
@@ -104,19 +105,6 @@ def test_index_and_membership():
     assert index(canonicalize([(1, 1)])) == INDEX_INFINITE
 
 
-def test_fundamental_domain_size_is_index():
-    s = canonicalize([(3, 0), (1, 2)])
-    dom = fundamental_domain(s)
-    assert len(dom) == index(s)
-    # Every integer point is congruent to exactly one representative.
-    reps = {
-        (x % 3, 0) for x in range(3)
-    }
-    assert len(set(dom)) == len(dom)
-    with pytest.raises(ValueError):
-        fundamental_domain(ZERO)
-
-
 @given(gens_lists, gens_lists)
 def test_intersect_is_containment_maximal(g1, g2):
     a, b = canonicalize(g1), canonicalize(g2)
@@ -141,6 +129,26 @@ def test_intersect_associates(g1, g2, g3):
     assert intersect(intersect(a, b), c) == intersect(a, intersect(b, c))
 
 
+# Small rank-2 bases directly, so that the divisibility conditions on a
+# and b often hold and the condition on c decides; canonicalized lists
+# add rank 0 and rank 1.
+small_rank2 = st.integers(1, 6).flatmap(
+    lambda a: st.builds(
+        lambda c, b: Subgroup(((a, 0), (c, b))),
+        st.integers(0, a - 1),
+        st.integers(1, 6),
+    )
+)
+subgroups = st.one_of(small_rank2, gens_lists.map(canonicalize))
+
+
+@given(subgroups, subgroups)
+def test_is_subgroup_of_matches_generator_test(p, q):
+    assert is_subgroup_of(p, q) == all(contains(q, g) for g in p.gens)
+    w = intersect(p, q)
+    assert is_subgroup_of(w, q) and all(contains(q, g) for g in w.gens)
+
+
 @given(gens_lists, vec)
 def test_adjoin_contains_both(gens, v):
     s = canonicalize(gens)
@@ -156,8 +164,8 @@ def _random_lattice(rng, max_index=6):
     return Subgroup(((a, 0), (c, b)))
 
 
-def _period_box_oracle(lattices):
-    """Exhaustive cover check over one full period of the union.
+def _period_box(lattices):
+    """Periods of the union in x and in y.
 
     Each member with basis (a, 0), (c, b) is invariant under x -> x + a
     and under y -> y + b * a / gcd(a, c), so the union is periodic with
@@ -170,6 +178,12 @@ def _period_box_oracle(lattices):
             for s in lattices
         )
     )
+    return la, lb
+
+
+def _period_box_oracle(lattices):
+    """Exhaustive cover check over one full period of the union."""
+    la, lb = _period_box(lattices)
     return all(
         any(contains(s, (x, y)) for s in lattices)
         for x in range(la)
@@ -185,6 +199,47 @@ def test_is_cover_matches_oracle_on_1000_random_tuples():
         assert is_cover(tup) == _period_box_oracle(tup)
         agree += 1
     assert agree == 1000
+
+
+def test_is_cover_matches_oracle_on_wide_intersections(catalog):
+    # Members with a up to 13 make intersections wider than 64 bits, so
+    # the row masks span several machine words.  Half the tuples are a
+    # catalog entry, often with one member dropped (a near miss, since
+    # the entries are minimal), plus such wide members.  Tuples whose
+    # period box exceeds 10^5 points are skipped to keep the oracle cheap.
+    rng = random.Random(20261018)
+    seen = {True: 0, False: 0}
+    wide = 0
+    while sum(seen.values()) < 400:
+        if rng.random() < 0.5:
+            tup = list(rng.choice(catalog.entries).lattices)
+            if rng.random() < 0.7:
+                del tup[rng.randrange(len(tup))]
+            tup += [_random_lattice(rng, 13) for _ in range(rng.randint(1, 2))]
+        else:
+            tup = [_random_lattice(rng, 13) for _ in range(rng.randint(2, 6))]
+        la, lb = _period_box(tup)
+        if la * lb > 10**5:
+            continue
+        got = is_cover(tup)
+        assert got == _period_box_oracle(tup), tup
+        seen[got] += 1
+        wide += reduce(intersect, tup).gens[0][0] > 64
+    assert seen[True] >= 20 and seen[False] >= 20 and wide >= 20, (seen, wide)
+
+
+def test_is_cover_rejects_huge_index():
+    triple = [
+        canonicalize([(2, 0), (0, 1)]),
+        canonicalize([(1, 0), (0, 2)]),
+        canonicalize([(1, 1), (0, 2)]),
+    ]
+    with pytest.raises(ValueError):
+        is_cover(triple + [Subgroup(((10**12, 0), (0, 1)))])
+    # Just below the limit the test still runs, over about 5 * 10^5 rows.
+    tup = triple + [Subgroup(((2, 0), (1, 249_999)))]
+    assert MAX_COVER_INDEX // 2 < index(reduce(intersect, tup)) <= MAX_COVER_INDEX
+    assert is_cover(tup)
 
 
 def test_is_cover_short_circuit_and_rank_filter():
