@@ -62,10 +62,7 @@ def _emit_checks(args, command: str, results: list[CheckResult],
 
 def _cmd_enumerate(args) -> int:
     lines = []
-    payload: dict = {"command": "enumerate", "slots": args.slots}
-    if args.slots != 6:
-        print("only the six-slot search is supported", file=sys.stderr)
-        return 2
+    payload: dict = {"command": "enumerate"}
     if args.raw_count:
         raw = len(raw_solutions())
         payload["raw_count"] = raw
@@ -200,7 +197,6 @@ def build_parser() -> _Parser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("enumerate", help="enumerate the minimal coverings")
-    p.add_argument("--slots", type=int, default=6)
     p.add_argument("--out", metavar="FILE")
     p.add_argument("--raw-count", action="store_true")
     p.set_defaults(func=_cmd_enumerate)

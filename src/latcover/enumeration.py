@@ -35,12 +35,12 @@ FORCING_POINTS: tuple[tuple[int, int], ...] = (
     (1, 8), (2, 7), (4, 5), (5, 4), (7, 2), (8, 1), (1, 9), (3, 7),
     (7, 3), (9, 1), (1, 10), (2, 9), (3, 8), (4, 7), (5, 6), (6, 5),
     (7, 4), (8, 3), (9, 2), (10, 1), (1, 11), (5, 7), (7, 5), (11, 1),
-    (1, 12), (2, 11), (3, 8), (4, 7), (5, 8), (6, 7), (7, 6), (8, 5),
-    (9, 4), (10, 3), (11, 2), (12, 1), (1, 13), (3, 11), (5, 9), (9, 5),
-    (11, 3), (13, 1), (1, 14), (2, 13), (4, 11), (7, 8), (8, 7), (11, 4),
-    (13, 2), (14, 1), (1, 15), (3, 13), (5, 11), (7, 9), (9, 7), (11, 5),
-    (13, 3), (15, 1), (1, 16), (8, 9), (9, 8), (16, 1), (2, 15), (1, 30),
-    (1, 17), (30, 1), (17, 1),
+    (1, 12), (2, 11), (5, 8), (6, 7), (7, 6), (8, 5), (9, 4), (10, 3),
+    (11, 2), (12, 1), (1, 13), (3, 11), (5, 9), (9, 5), (11, 3), (13, 1),
+    (1, 14), (2, 13), (4, 11), (7, 8), (8, 7), (11, 4), (13, 2), (14, 1),
+    (1, 15), (3, 13), (5, 11), (7, 9), (9, 7), (11, 5), (13, 3), (15, 1),
+    (1, 16), (8, 9), (9, 8), (16, 1), (2, 15), (1, 30), (1, 17), (30, 1),
+    (17, 1),
 )
 
 CoveringTuple = tuple[Subgroup, ...]

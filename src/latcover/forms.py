@@ -303,6 +303,10 @@ class CompareReport:
         }
 
 
+#: Largest box radius of ``cross_value_check`` (the paper's boxes: 60).
+MAX_BOX_RADIUS = 200
+
+
 def _box_values(f: BinaryForm, radius: int) -> dict[Fraction, tuple[int, int]]:
     values: dict[Fraction, tuple[int, int]] = {}
     for x in range(-radius, radius + 1):
@@ -320,8 +324,8 @@ def cross_value_check(
         raise ValueError("value-set comparison requires integral forms")
     if m is None:
         m = 6 * n
-    if n < 0 or m < 0:
-        raise ValueError(f"box sizes must be non-negative, got {n} and {m}")
+    if not (0 <= n <= MAX_BOX_RADIUS and 0 <= m <= MAX_BOX_RADIUS):
+        raise ValueError(f"box sizes must lie in 0..{MAX_BOX_RADIUS}, got {n} and {m}")
     f_small, g_small = _box_values(f, n), _box_values(g, n)
     f_big, g_big = _box_values(f, m), _box_values(g, m)
     unmatched_f = [

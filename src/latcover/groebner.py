@@ -18,9 +18,7 @@ from dataclasses import dataclass
 
 from . import poly
 from .lattices import xgcd
-from .poly import (
-    Monomial, Poly, leading_term, mono_divides, mono_key, mono_lcm, normal_form,
-)
+from .poly import Poly, leading_term, normal_form
 
 T1, T2, T3, T4 = (poly.variable(n) for n in ("t1", "t2", "t3", "t4"))
 U1, U2, U3, U4 = (poly.variable(n) for n in ("u1", "u2", "u3", "u4"))
@@ -113,83 +111,86 @@ def strong_groebner(gens) -> list[Poly]:
     generator pairs in ``itertools.combinations`` order, then each new
     element's pairs with the older ones by index).  Each pair is keyed
     once, when it is made, and every pair is eventually processed.
-    """
-    basis: list[Poly] = []
-    leads: list[tuple[Monomial, int]] = []  # leading term of each element
 
-    def append(g: Poly) -> None:
+    It runs on packed monomials (see ``poly``), packing ``gens`` once and
+    unpacking the basis once.  A generator or pair lcm of degree above
+    255 raises ``ValueError``: no term of a pair or its reductions
+    exceeds the lcm's degree, so no exponent outgrows its field.
+    """
+    leads: list[tuple[int, int, poly.PackedPoly]] = []  # (LM, LC, g) per element
+
+    def append(g) -> None:
         m, c = leading_term(g)
         if c < 0:
             g, c = poly.neg(g), -c
-        basis.append(g)
-        leads.append((m, c))
+        leads.append((m, c, g))
 
     for g in gens:
-        g = normal_form(g, basis)
+        g = normal_form(poly.pack_poly(g), leads)
         if g:
             append(g)
-    queue: list[tuple] = []  # (mono_key(lcm), creation counter, i, j)
+    queue: list[tuple] = []  # (packed lcm, creation counter, i, j)
     counter = itertools.count()
 
     def push(i: int, j: int) -> None:
-        lcm = mono_lcm(leads[i][0], leads[j][0])
-        heapq.heappush(queue, (mono_key(lcm), next(counter), i, j))
+        lcm = poly.lcm(leads[i][0], leads[j][0])
+        if lcm >= poly.DEGREE_BOUND:
+            raise ValueError(f"S-pair of degree above {poly.MAX_EXP}")
+        heapq.heappush(queue, (lcm, next(counter), i, j))
 
-    for i, j in itertools.combinations(range(len(basis)), 2):
+    for i, j in itertools.combinations(range(len(leads)), 2):
         push(i, j)
     while queue:
-        _, _, i, j = heapq.heappop(queue)
-        (mi, ci), (mj, cj) = leads[i], leads[j]
-        lcm = mono_lcm(mi, mj)
-        ui, uj = poly.mono_div(lcm, mi), poly.mono_div(lcm, mj)
+        lcm, _, i, j = heapq.heappop(queue)
+        (mi, ci, gi), (mj, cj, gj) = leads[i], leads[j]
         g, s, t = xgcd(ci, cj)
         lc = ci // g * cj
         candidates = [
             poly.sub(
-                poly.term_mul(basis[i], ui, lc // ci),
-                poly.term_mul(basis[j], uj, lc // cj),
+                poly.term_mul(gi, lcm - mi, lc // ci),
+                poly.term_mul(gj, lcm - mj, lc // cj),
             )
         ]
         if ci % cj and cj % ci:
             candidates.append(
-                poly.add(poly.term_mul(basis[i], ui, s), poly.term_mul(basis[j], uj, t))
+                poly.add(poly.term_mul(gi, lcm - mi, s), poly.term_mul(gj, lcm - mj, t))
             )
         for cand in candidates:
-            h = normal_form(cand, basis)
+            h = normal_form(cand, leads)
             if h:
                 append(h)
-                for k in range(len(basis) - 1):
-                    push(k, len(basis) - 1)
-    # Interreduce: drop elements whose leading term another one divides.
+                for k in range(len(leads) - 1):
+                    push(k, len(leads) - 1)
+    # Interreduce: drop elements whose leading term another one divides,
+    # and reduce the tails of the rest by the others.
     reduced = []
-    for i, (m, c) in enumerate(leads):
+    for i, (m, c, g) in enumerate(leads):
         if not any(
-            k != i and mono_divides(m2, m) and c % c2 == 0
+            k != i and poly.divides(m2, m) and c % c2 == 0
             and (k < i or (m2, c2) != (m, c))
-            for k, (m2, c2) in enumerate(leads)
+            for k, (m2, c2, _) in enumerate(leads)
         ):
-            reduced.append(normal_form_tail(basis[i], basis, i))
-    return sorted(reduced, key=lambda p: mono_key(leading_term(p)[0]))
+            rest = dict(g)
+            del rest[m]
+            rest = normal_form(rest, leads[:i] + leads[i + 1:])
+            rest[m] = c
+            reduced.append(rest)
+    reduced.sort(key=lambda p: leading_term(p)[0])
+    return [poly.unpack_poly(p) for p in reduced]
 
 
-def normal_form_tail(g: Poly, basis, skip: int) -> Poly:
-    """Reduce the non-leading terms of ``g`` by the other basis elements."""
-    m, c = leading_term(g)
-    rest = dict(g)
-    del rest[m]
-    rest = normal_form(rest, [b for k, b in enumerate(basis) if k != skip])
-    rest[m] = c
-    return rest
+def _packed_leads(basis) -> list[tuple[int, int, poly.PackedPoly]]:
+    return [(*leading_term(g), g) for g in map(poly.pack_poly, basis) if g]
 
 
 def contains_constant(c: int, basis) -> bool:
     """True iff the constant ``c`` lies in the ideal with the given
     strong Groebner basis."""
-    return not normal_form(poly.constant(c), basis)
+    return not normal_form(poly.pack_poly(poly.constant(c)), _packed_leads(basis))
 
 
 def reduces_to_zero(p: Poly, basis) -> bool:
-    return not normal_form(p, basis)
+    return not normal_form(poly.pack_poly(p), _packed_leads(basis))
 
 
 def pair_system(e1: str, e2: str) -> list[Poly]:
@@ -267,10 +268,10 @@ def has_common_zero_mod7(system_elements, kind: str) -> bool:
     """Finite-field cross-check: search (Z/7)^4 for a tuple killing the
     relevant coefficient polynomials while satisfying the gcd side
     conditions.  If 3 lies in the ideal there can be no such zero (3 is
-    a unit mod 7); conversely the exceptional systems do have zeros
-    because x^2 + x + 1 splits mod any prime = 1 mod 3.  The oracle
-    therefore decides every certificate independently of the Groebner
-    machinery.
+    a unit mod 7), and the exceptional systems do have zeros because
+    x^2 + x + 1 splits mod any prime = 1 mod 3.  The check is one-sided:
+    a zero refutes "3 in I", but finding none does not prove that 3 lies
+    in the ideal, so it cannot stand in for the Groebner certificates.
     """
     if kind == "pair":
         polys = [q for e in system_elements for q in COEFF_POLYS[e]]

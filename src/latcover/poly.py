@@ -5,6 +5,20 @@ A polynomial is a dict mapping exponent 8-tuples to nonzero integer
 coefficients.  The module stays deliberately small: just enough ring
 arithmetic plus division with remainder to support strong Groebner
 bases over the integers.
+
+Tuple-keyed dicts are the exchange format.  The division engine works
+on packed polynomials instead, whose monomials are each one int
+(Bachmann-Schoenemann, ISSAC 1998; Monagan-Pearce, CASC 2007)::
+
+    deg << 72 | sum((255 - e_i) << 9*i),   t1 in the lowest field
+
+Each 9-bit field holds 255 - e_i under a zero guard bit, so int order is
+degrevlex, the leading monomial is ``max(p)``, and k times m / lm is
+``k + (m - lm)``.  Fields hold exponents up to MAX_EXP = 255: ``pack``
+rejects larger ones, and ``pack_poly`` rejects terms of degree above
+MAX_EXP, which bounds every exponent of every reduction of them, as no
+degrevlex reduction raises the degree.  ``add``, ``sub``, ``neg`` and
+``scale`` serve both key forms.
 """
 
 from __future__ import annotations
@@ -14,8 +28,17 @@ NVARS = len(VARS)
 
 Monomial = tuple[int, ...]
 Poly = dict[Monomial, int]
+PackedPoly = dict[int, int]
 
 ONE_MONO: Monomial = (0,) * NVARS
+
+MAX_EXP = 255
+_SHIFTS = range(0, 9 * NVARS, 9)
+_DEG_SHIFT = 9 * NVARS
+FIELDS = sum(MAX_EXP << s for s in _SHIFTS)
+GUARD = sum(256 << s for s in _SHIFTS)
+#: Packed monomials below this have degree at most MAX_EXP.
+DEGREE_BOUND = (MAX_EXP + 1) << _DEG_SHIFT
 
 
 def variable(name: str) -> Poly:
@@ -28,25 +51,37 @@ def constant(c: int) -> Poly:
     return {ONE_MONO: c} if c else {}
 
 
-def mono_key(m: Monomial):
-    """Sort key realizing degrevlex: higher key = larger monomial."""
-    return (sum(m), tuple(-e for e in reversed(m)))
+def pack(m: Monomial) -> int:
+    if not all(0 <= e <= MAX_EXP for e in m):
+        raise ValueError(f"exponents must lie in 0..{MAX_EXP}, got {m}")
+    return sum(m) << _DEG_SHIFT | sum((MAX_EXP - e) << s for e, s in zip(m, _SHIFTS))
 
 
-def mono_mul(a: Monomial, b: Monomial) -> Monomial:
-    return tuple(x + y for x, y in zip(a, b))
+def unpack(k: int) -> Monomial:
+    return tuple(MAX_EXP - (k >> s & MAX_EXP) for s in _SHIFTS)
 
 
-def mono_divides(a: Monomial, b: Monomial) -> bool:
-    return all(x <= y for x, y in zip(a, b))
+def divides(a: int, b: int) -> bool:
+    # Each guard bit survives iff a's field >= b's, i.e. a's exponent <= b's.
+    return ((a | GUARD) - b) & GUARD == GUARD
 
 
-def mono_div(a: Monomial, b: Monomial) -> Monomial:
-    return tuple(x - y for x, y in zip(a, b))
+def lcm(a: int, b: int) -> int:
+    ge = ((a | GUARD) - b) & GUARD
+    take_b = ge - (ge >> 8)  # ones in the fields where a's exponent is smaller
+    f = b & take_b | a & (FIELDS ^ take_b)
+    return sum(MAX_EXP - (f >> s & MAX_EXP) for s in _SHIFTS) << _DEG_SHIFT | f
 
 
-def mono_lcm(a: Monomial, b: Monomial) -> Monomial:
-    return tuple(max(x, y) for x, y in zip(a, b))
+def pack_poly(p: Poly) -> PackedPoly:
+    q = {pack(m): c for m, c in p.items()}
+    if q and max(q) >= DEGREE_BOUND:
+        raise ValueError(f"polynomial of degree above {MAX_EXP}")
+    return q
+
+
+def unpack_poly(p: PackedPoly) -> Poly:
+    return {unpack(k): c for k, c in p.items()}
 
 
 def add(p: Poly, q: Poly) -> Poly:
@@ -74,18 +109,17 @@ def scale(p: Poly, k: int) -> Poly:
     return {m: k * c for m, c in p.items()}
 
 
-def term_mul(p: Poly, m: Monomial, k: int) -> Poly:
-    """Multiply by the single term k * m."""
-    if k == 0:
-        return {}
-    return {mono_mul(m0, m): k * c for m0, c in p.items()}
+def term_mul(p: PackedPoly, shift: int, k: int) -> PackedPoly:
+    """k times p times the monomial m / lm, given as ``shift = m - lm``
+    in packed form; ``k`` must be nonzero."""
+    return {m + shift: k * c for m, c in p.items()}
 
 
 def mul(p: Poly, q: Poly) -> Poly:
     out: Poly = {}
     for m1, c1 in p.items():
         for m2, c2 in q.items():
-            m = mono_mul(m1, m2)
+            m = tuple(x + y for x, y in zip(m1, m2))
             s = out.get(m, 0) + c1 * c2
             if s:
                 out[m] = s
@@ -107,42 +141,45 @@ def evaluate(p: Poly, point) -> int:
     return total
 
 
-def leading_term(p: Poly) -> tuple[Monomial, int]:
+def leading_term(p: PackedPoly) -> tuple[int, int]:
     if not p:
         raise ValueError("zero polynomial has no leading term")
-    # The degrevlex maximum: highest degree, then the smallest exponent
-    # tuple read from the last variable, i.e. the largest mono_key.
-    m = min(p, key=lambda m: (-sum(m), m[::-1]))
+    m = max(p)  # packed order is degrevlex
     return m, p[m]
 
 
-def normal_form(p: Poly, basis) -> Poly:
-    """Remainder of ``p`` on division by ``basis`` over Z.
+def normal_form(p: PackedPoly, leads) -> PackedPoly:
+    """Remainder of the packed ``p`` on division over Z by the packed
+    polynomials g of ``leads``, given as (LM(g), LC(g), g) triples.
 
-    A term c * m is rewritten using any basis element g with LM(g) | m,
-    replacing c by its symmetric remainder modulo LC(g).  With ``basis``
-    a strong Groebner basis the result is zero exactly for ideal
-    members.
+    A term c * m is rewritten using the first g with LM(g) | m whose
+    quotient is nonzero, replacing c by its symmetric remainder modulo
+    LC(g).  With ``leads`` a strong Groebner basis the result is zero
+    exactly for ideal members.
     """
-    leads = [(leading_term(g), g) for g in basis if g]
     p = dict(p)
-    out: Poly = {}
+    out: PackedPoly = {}
     while p:
         m, c = leading_term(p)
-        reduced = False
-        for (lm, lc), g in leads:
-            if mono_divides(lm, m):
+        for lm, lc, g in leads:
+            if ((lm | GUARD) - m) & GUARD == GUARD:  # divides(lm, m)
                 q = c // lc
                 # Pull the remainder toward zero: |c - q*lc| <= |lc| / 2.
                 r = c - q * lc
                 if 2 * abs(r) > abs(lc):
                     q += 1 if lc > 0 else -1
                 if q:
-                    p = sub(p, term_mul(g, mono_div(m, lm), q))
-                    reduced = True
+                    # p -= q * (m / lm) * g, in place.
+                    shift = m - lm
+                    for k, a in g.items():
+                        k += shift
+                        s = p.get(k, 0) - q * a
+                        if s:
+                            p[k] = s
+                        else:
+                            del p[k]
                     break
-        if not reduced:
+        else:
             out[m] = c
             del p[m]
     return out
-

@@ -89,6 +89,12 @@ def test_enumerate_and_verify_catalog(capsys, tmp_path):
     assert "FAIL" not in out
 
 
+def test_enumerate_has_no_slots_option(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["enumerate", "--slots", "6"])
+    assert exc.value.code == EX_USAGE
+
+
 def test_verify_catalog_rejects_corrupt_file(capsys, tmp_path):
     bad = tmp_path / "bad.txt"
     bad.write_text("len=3 | zzz\n")
@@ -224,3 +230,17 @@ def test_readme_cli_examples_run(
     for line in lines:
         code, _, err = run(capsys, *shlex.split(line, comments=True)[1:])
         assert code == 0, (line, err)
+
+
+def test_form_compare_huge_box_exits_2(capsys):
+    # A box of radius 10^9 would hold about 4 * 10^18 points; it is
+    # rejected before any value is computed.
+    start = time.perf_counter()
+    code, out, err = run(
+        capsys, "form", "compare", "--f", "0,1,1,0", "--g", "0,4,2,0",
+        "--m", "1000000000",
+    )
+    assert time.perf_counter() - start < 1
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error:")

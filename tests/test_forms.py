@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 
 from latcover.forms import (
     F0,
+    MAX_BOX_RADIUS,
     R_MAT,
     S_MAT,
     SEXTIC_CONJUGATOR,
@@ -237,3 +238,11 @@ def test_cross_value_check_reports_mismatch():
 def test_cross_value_check_requires_integral():
     with pytest.raises(ValueError):
         cross_value_check(BinaryForm.of(Fraction(1, 2), 0, 0, 0), F0, 2, 2)
+
+
+def test_cross_value_check_caps_the_box():
+    # Every box the paper's checks use lies inside the cap.
+    assert MAX_BOX_RADIUS >= 60
+    for n, m in ((MAX_BOX_RADIUS + 1, 0), (0, MAX_BOX_RADIUS + 1)):
+        with pytest.raises(ValueError, match="box sizes"):
+            cross_value_check(F0, F0, n, m)

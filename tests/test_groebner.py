@@ -1,3 +1,4 @@
+import hashlib
 import itertools
 
 import pytest
@@ -102,6 +103,60 @@ small_polys = st.lists(
 )
 
 
+def mono_key(m):
+    """Degrevlex on exponent tuples: higher key = larger monomial."""
+    return (sum(m), tuple(-e for e in reversed(m)))
+
+
+#: Exponent vectors over the whole packed range, and small ones, among
+#: which divisibility and ties are common.
+monomials = st.tuples(
+    *(st.integers(0, poly.MAX_EXP) for _ in range(poly.NVARS))
+) | st.tuples(*(st.integers(0, 3) for _ in range(poly.NVARS)))
+
+
+@given(monomials)
+def test_pack_roundtrip(m):
+    assert poly.unpack(poly.pack(m)) == m
+
+
+@given(monomials, monomials)
+def test_packed_order_is_degrevlex(a, b):
+    assert (poly.pack(a) < poly.pack(b)) == (mono_key(a) < mono_key(b))
+    assert (poly.pack(a) == poly.pack(b)) == (a == b)
+
+
+@given(monomials, monomials)
+def test_packed_divides_and_lcm_match_exponents(a, b):
+    pa, pb = poly.pack(a), poly.pack(b)
+    assert poly.divides(pa, pb) == all(x <= y for x, y in zip(a, b))
+    assert poly.lcm(pa, pb) == poly.pack(tuple(map(max, a, b)))
+
+
+def test_pack_rejects_exponents_outside_fields():
+    with pytest.raises(ValueError, match="exponents"):
+        poly.pack((poly.MAX_EXP + 1,) + (0,) * (poly.NVARS - 1))
+    with pytest.raises(ValueError, match="exponents"):
+        poly.pack((-1,) + (0,) * (poly.NVARS - 1))
+
+
+def _power(**exps) -> poly.Poly:
+    return {tuple(exps.get(v, 0) for v in poly.VARS): 1}
+
+
+def test_engine_rejects_degree_above_field_width():
+    # Each generator fits, but the S-pair of t1^200 and t2^200 has degree
+    # 400; a reduction could push one exponent past 255.
+    with pytest.raises(ValueError, match="S-pair"):
+        strong_groebner([_power(t1=200), _power(t2=200)])
+    # t1^200 * t2^100 fits the fields but not the degree bound.
+    high = _power(t1=200, t2=100)
+    with pytest.raises(ValueError, match="degree"):
+        strong_groebner([high])
+    with pytest.raises(ValueError, match="degree"):
+        reduces_to_zero(high, [_power(t1=1)])
+
+
 @given(st.dictionaries(
     st.tuples(*(st.integers(0, 3) for _ in range(poly.NVARS))),
     st.integers(-5, 5).filter(bool),
@@ -109,8 +164,8 @@ small_polys = st.lists(
     max_size=12,
 ))
 def test_leading_term_is_degrevlex_maximum(p):
-    m = max(p, key=poly.mono_key)
-    assert poly.leading_term(p) == (m, p[m])
+    m = max(p, key=mono_key)
+    assert poly.leading_term(poly.pack_poly(p)) == (poly.pack(m), p[m])
 
 
 @given(st.lists(small_polys, min_size=1, max_size=3))
@@ -151,19 +206,22 @@ def test_pair_system_shapes():
         assert len(triple_system(*combo)) == 5
 
 
-def test_reduced_basis_sizes():
-    sizes = {
-        combo: len(strong_groebner(pair_system(*combo)))
-        for combo in itertools.combinations(ELEMENT_NAMES, 2)
-    }
-    sizes.update(
-        (combo, len(strong_groebner(triple_system(*combo))))
-        for combo in itertools.combinations(ELEMENT_NAMES, 3)
-    )
+def test_reduced_basis_sizes(reduced_bases):
+    sizes = {combo: len(basis) for combo, basis in reduced_bases.items()}
     expected = {combo: 4 if len(combo) == 2 else 5 for combo in sizes}
     expected[ORDER3_ELEMENTS] = 7
     expected[EXCEPTIONAL_TRIPLE] = 10
     assert sizes == expected
+
+
+def test_reduced_bases_match_parent(reduced_bases):
+    # SHA-256 of the 20 bases, terms in dict order, as computed before the
+    # engine moved to packed monomials: any change to a basis, or to the
+    # order of its terms, shows here.
+    text = repr([[list(g.items()) for g in b] for b in reduced_bases.values()])
+    assert hashlib.sha256(text.encode()).hexdigest() == (
+        "f1d2c943fd436de46cf667f73b71bfbb908f424924bf146fd93f01bdf4e45bda"
+    )
 
 
 def test_pair_verdicts(pair_verdicts):
