@@ -19,7 +19,7 @@ from .forms import (
     extraordinary_by_C3,
     sextic,
 )
-from .groebner import verify_pair_lemma, verify_triple_lemma
+from .groebner import certificate_bases, verify_all
 from .lattices import Subgroup, canonicalize, index, intersect, is_cover, lattice_of
 from .mat2 import RatMat2, parse_mat2
 from .modular import run_all_scans
@@ -31,6 +31,7 @@ __all__ = [
     "RatMat2",
     "Subgroup",
     "canonicalize",
+    "certificate_bases",
     "cross_value_check",
     "dagger",
     "discriminant",
@@ -47,9 +48,8 @@ __all__ = [
     "run_all_scans",
     "serialize",
     "sextic",
+    "verify_all",
     "verify_catalog",
-    "verify_pair_lemma",
-    "verify_triple_lemma",
 ]
 
 __version__ = "1.0.0"

@@ -1,5 +1,5 @@
-"""The catalog of minimal coverings: canonical entries, persistence,
-queries and the per-length verification checks.
+"""The catalog of minimal coverings: canonical entries, persistence
+and the per-length verification checks.
 """
 
 from __future__ import annotations
@@ -7,7 +7,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .enumeration import CoveringTuple, enumerate_minimal_coverings, precedes
+from .enumeration import SLOTS, CoveringTuple, enumerate_minimal_coverings, precedes
 from .lattices import Subgroup, ZERO, canonicalize, density_sum, index, is_cover
 
 #: Expected number of minimal coverings per length.
@@ -92,10 +92,17 @@ def _entry_sort_key(s: Subgroup):
 
 
 def canonical_entry(t: CoveringTuple) -> CatalogEntry:
-    """Drop rank-0 slots and sort the lattices into the canonical order."""
+    """Drop rank-0 slots and sort the lattices into the canonical order.
+
+    More than ``SLOTS`` lattices are rejected: no minimal covering has
+    that many, and the incomparability check in :func:`verify_catalog`
+    grows factorially with the entry length.
+    """
+    lattices = [s for s in t if s.rank != 0]
+    if len(lattices) > SLOTS:
+        raise ValueError(f"{len(lattices)} lattices, more than {SLOTS}")
     if not is_cover(t):
         raise ValueError("tuple does not cover Z^2")
-    lattices = [s for s in t if s.rank != 0]
     if any(s.rank != 2 for s in lattices):
         raise ValueError("nonzero slots must have rank 2")
     lattices.sort(key=_entry_sort_key)
@@ -113,10 +120,6 @@ class Catalog:
 
     def by_length(self, k: int) -> list[CatalogEntry]:
         return [e for e in self.entries if e.length == k]
-
-    def query(self, predicate) -> list[CatalogEntry]:
-        """Entries whose (length, indices) satisfy ``predicate``."""
-        return [e for e in self.entries if predicate(e.length, e.indices)]
 
 
 def generate_catalog() -> Catalog:
@@ -179,7 +182,7 @@ class CheckResult:
 
 
 def _pad(entry: CatalogEntry) -> CoveringTuple:
-    return entry.lattices + (ZERO,) * (6 - entry.length)
+    return entry.lattices + (ZERO,) * (SLOTS - entry.length)
 
 
 def verify_catalog(catalog: Catalog) -> list[CheckResult]:

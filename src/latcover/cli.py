@@ -110,7 +110,7 @@ def _cmd_verify_modular(args) -> int:
 
 
 def _cmd_verify_groebner(args) -> int:
-    verdicts = groebner.verify_all()
+    verdicts = groebner.verify_all(groebner.certificate_bases())
     payload = {
         "command": "verify-groebner",
         "verdicts": [v.to_dict() for v in verdicts],
@@ -172,7 +172,7 @@ def _cmd_verify_all(args) -> int:
         CheckResult(
             "groebner/" + "-".join(v.elements), v.ok, f"3 in ideal = {v.contains_3}"
         )
-        for v in groebner.verify_all()
+        for v in groebner.verify_all(groebner.certificate_bases())
     ]
     reference_forms = (  # name, form, conjugator, variant, extraordinary
         ("F0", forms.F0, parse_mat2("1,0;0,1"), "d3", True),

@@ -105,11 +105,13 @@ def find_lattices(slots: CoveringTuple, point_index: int) -> list[CoveringTuple]
 
 
 def prune(t: CoveringTuple) -> CoveringTuple:
-    """Drop redundant slots of a covering tuple, greedily in slot order.
+    """The normal form of a covering tuple with its redundant slots dropped.
 
-    Each slot in turn is replaced by the zero subgroup if the rest still
-    covers; surviving slots are then compacted to the front.  The result
-    still covers Z^2.
+    Each slot in turn, in slot order, is replaced by the zero subgroup if
+    the rest still covers.  The surviving slots come back sorted by
+    (index, basis), followed by the zero slots, so tuples that differ
+    only in slot order prune to equal tuples.  The result still covers
+    Z^2.
     """
     slots = list(t)
     for i in range(len(slots)):
@@ -117,24 +119,17 @@ def prune(t: CoveringTuple) -> CoveringTuple:
         slots[i] = ZERO
         if not is_cover(slots):
             slots[i] = old
-
-    nonzero = sum(1 for s in slots if s.rank != 0)
-    for i in range(nonzero):
-        if slots[i].rank == 0:
-            for j in range(nonzero, len(slots)):
-                if slots[j].rank != 0:
-                    slots[i], slots[j] = slots[j], ZERO
-                    break
-    return tuple(slots)
+    kept = sorted((s for s in slots if s.rank != 0), key=lambda s: (index(s), s.gens))
+    return tuple(kept) + (ZERO,) * (len(t) - len(kept))
 
 
 def precedes(a: CoveringTuple, b: CoveringTuple) -> bool:
     """The permutation partial order: a <= b iff some permutation sigma
     has every generator of a[i] inside b[sigma(i)].
 
-    As in the pruning pass, the permutation only moves the slots up to
-    and including the first rank-0 slot of ``a``; later slots (all
-    rank 0 after compaction) are matched identically.
+    The permutation only moves the slots up to and including the first
+    rank-0 slot of ``a``; later slots (all rank 0 in a pruned tuple) are
+    matched identically.
     """
     k = len(a) - 1
     for i, s in enumerate(a):
@@ -166,15 +161,6 @@ def precedes(a: CoveringTuple, b: CoveringTuple) -> bool:
 
 def _canonical_sort_key(t: CoveringTuple):
     return tuple(sorted((index(s) if s.rank == 2 else 0, s.gens) for s in t))
-
-
-def _normalize_slots(t: CoveringTuple) -> CoveringTuple:
-    """Order-normalized representative: nonzero slots sorted by
-    (index, basis), zero slots compacted to the tail."""
-    nonzero = sorted(
-        (s for s in t if s.rank != 0), key=lambda s: (index(s), s.gens)
-    )
-    return tuple(nonzero) + (ZERO,) * (len(t) - len(nonzero))
 
 
 def _subtree(task: tuple[CoveringTuple, int]) -> list[CoveringTuple]:
@@ -218,16 +204,14 @@ def raw_solutions(workers: int = 1) -> list[CoveringTuple]:
 def enumerate_minimal_coverings() -> list[CoveringTuple]:
     """The minimal coverings of Z^2 by up to six subgroups.
 
-    Prunes every raw solution, deduplicates up to slot permutation, then
-    keeps only tuples not strictly preceded by another tuple.  Both
-    passes are order-normalized, so the outcome does not depend on the
-    traversal order.
+    Prunes every raw solution to its normal form, so that raw solutions
+    differing only in slot order meet in one set element; sorts the
+    distinct candidates, then keeps only those not preceded by another
+    candidate.  The outcome does not depend on the traversal order.
     """
-    unique: dict[tuple, CoveringTuple] = {}
-    for t in raw_solutions():
-        p = _normalize_slots(prune(t))
-        unique.setdefault(_canonical_sort_key(p), p)
-    candidates = [unique[k] for k in sorted(unique)]
+    candidates = sorted(
+        {prune(t) for t in raw_solutions()}, key=_canonical_sort_key
+    )
     return [
         c for c in candidates
         if not any(o is not c and precedes(o, c) for o in candidates)

@@ -43,13 +43,6 @@ class RatMat2:
             raise ZeroDivisionError("matrix is singular")
         return RatMat2(self.d / det, -self.b / det, -self.c / det, self.a / det)
 
-    def apply(self, v) -> tuple[Fraction, Fraction]:
-        x, y = v
-        return (self.a * x + self.b * y, self.c * x + self.d * y)
-
-    def is_integral(self) -> bool:
-        return all(e.denominator == 1 for e in (self.a, self.b, self.c, self.d))
-
     def order(self, limit: int = 24):
         """Multiplicative order, or None if it exceeds ``limit``."""
         acc = self

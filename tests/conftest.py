@@ -1,16 +1,7 @@
-import itertools
-
 import pytest
 
 from latcover.catalog import generate_catalog
-from latcover.groebner import (
-    ELEMENT_NAMES,
-    pair_system,
-    strong_groebner,
-    triple_system,
-    verify_pair_lemma,
-    verify_triple_lemma,
-)
+from latcover.groebner import certificate_bases, verify_all
 
 
 @pytest.fixture(scope="session")
@@ -23,22 +14,20 @@ def catalog():
 def reduced_bases():
     """The 20 reduced strong Groebner bases, by element combination: the
     ten pairs, then the ten triples, in ``itertools.combinations`` order."""
-    bases = {
-        combo: strong_groebner(pair_system(*combo))
-        for combo in itertools.combinations(ELEMENT_NAMES, 2)
-    }
-    bases.update(
-        (combo, strong_groebner(triple_system(*combo)))
-        for combo in itertools.combinations(ELEMENT_NAMES, 3)
-    )
-    return bases
+    return certificate_bases()
 
 
 @pytest.fixture(scope="session")
-def pair_verdicts():
-    return verify_pair_lemma()
+def verdicts(reduced_bases):
+    """The 20 certificate verdicts, judged on the session's bases."""
+    return verify_all(reduced_bases)
 
 
 @pytest.fixture(scope="session")
-def triple_verdicts():
-    return verify_triple_lemma()
+def pair_verdicts(verdicts):
+    return [v for v in verdicts if len(v.elements) == 2]
+
+
+@pytest.fixture(scope="session")
+def triple_verdicts(verdicts):
+    return [v for v in verdicts if len(v.elements) == 3]

@@ -100,14 +100,6 @@ def test_parse_reports_line_number():
         parse("len=4 | 1,0;0,2 | 1,0;1,2 | 2,0;0,1\n")
 
 
-def test_query_interface(catalog):
-    big = catalog.query(lambda ln, idx: ln == 6 and all(i >= 4 for i in idx))
-    assert {e.text() for e in big} == {
-        entry_from_texts(COVER_4_6).text(),
-        entry_from_texts(COVER_5_6).text(),
-    }
-
-
 def _index_q_sublattices(s: Subgroup, q: int):
     """The q + 1 sublattices of index q inside a rank-2 subgroup."""
     g1, g2 = s.gens

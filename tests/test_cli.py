@@ -116,6 +116,25 @@ def test_verify_catalog_rejects_huge_index(capsys, tmp_path):
     assert "Traceback" not in err
 
 
+@pytest.mark.parametrize("n", [7, 11])
+def test_verify_catalog_rejects_long_entries(capsys, tmp_path, n):
+    # Entries longer than six lattices are rejected before the pairwise
+    # incomparability check, whose matching grows factorially with the
+    # entry length.
+    unit = "1,0;0,1"
+    long_cat = tmp_path / "long.cat"
+    long_cat.write_text(
+        f"len={n}" + f" | {unit}" * n + "\n"
+        + f"len={n}" + f" | {unit}" * (n - 1) + " | 2,0;0,1\n"
+    )
+    start = time.perf_counter()
+    code, out, err = run(capsys, "verify-catalog", "--in", str(long_cat))
+    assert time.perf_counter() - start < 1
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: line 1: ")
+
+
 def test_form_check(capsys):
     code, out, _ = run(
         capsys, "form", "check", "--coeffs", "0,1,1,0",
@@ -176,10 +195,9 @@ def test_form_check_zero_division_exits_2(capsys, argv):
     assert err.startswith("error:")
 
 
-def test_verify_all_text_and_json(capsys, monkeypatch, pair_verdicts, triple_verdicts):
-    monkeypatch.setattr(
-        "latcover.cli.groebner.verify_all", lambda: pair_verdicts + triple_verdicts
-    )
+def test_verify_all_text_and_json(capsys, monkeypatch, catalog, reduced_bases):
+    monkeypatch.setattr("latcover.cli.catalog_mod.generate_catalog", lambda: catalog)
+    monkeypatch.setattr("latcover.cli.groebner.certificate_bases", lambda: reduced_bases)
     code, text, _ = run(capsys, "verify-all")
     assert code == 0
     code, out, _ = run(capsys, "--format", "json", "verify-all")
@@ -219,11 +237,10 @@ def _readme_cli_lines():
 
 
 def test_readme_cli_examples_run(
-    capsys, monkeypatch, tmp_path, pair_verdicts, triple_verdicts
+    capsys, monkeypatch, tmp_path, catalog, reduced_bases
 ):
-    monkeypatch.setattr(
-        "latcover.cli.groebner.verify_all", lambda: pair_verdicts + triple_verdicts
-    )
+    monkeypatch.setattr("latcover.cli.catalog_mod.generate_catalog", lambda: catalog)
+    monkeypatch.setattr("latcover.cli.groebner.certificate_bases", lambda: reduced_bases)
     monkeypatch.chdir(tmp_path)
     lines = _readme_cli_lines()
     assert len(lines) == 7

@@ -41,10 +41,3 @@ def test_inverse(m):
 @given(matrices, matrices)
 def test_det_multiplicative(a, b):
     assert (a @ b).det() == a.det() * b.det()
-
-
-@given(matrices, st.tuples(st.integers(-9, 9), st.integers(-9, 9)))
-def test_apply_matches_matmul(m, v):
-    x, y = m.apply(v)
-    col = RatMat2.of(v[0], 0, v[1], 0)
-    assert (m @ col).a == x and (m @ col).c == y
