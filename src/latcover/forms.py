@@ -15,6 +15,10 @@ from .mat2 import RatMat2
 
 Rat = Fraction
 
+#: Largest degree ``BinaryForm.of`` accepts (the paper's forms: 3 and 6);
+#: ``compose`` costs about degree^3 operations.
+MAX_DEGREE = 24
+
 
 @dataclass(frozen=True)
 class BinaryForm:
@@ -24,6 +28,10 @@ class BinaryForm:
 
     @staticmethod
     def of(*coeffs) -> "BinaryForm":
+        if len(coeffs) > MAX_DEGREE + 1:
+            raise ValueError(
+                f"degree must be at most {MAX_DEGREE}, got {len(coeffs) - 1}"
+            )
         cs = tuple(Fraction(c) for c in coeffs)
         if len(cs) < 2 or not any(cs):
             raise ValueError("need a nonzero form of degree >= 1")
@@ -55,8 +63,11 @@ class BinaryForm:
 F0 = BinaryForm.of(0, 1, 1, 0)  # X*Y*(X + Y)
 
 
-def evaluate(f: BinaryForm, x, y) -> Fraction:
-    """F(x, y) for integers or fractions x, y, by Horner's rule in x."""
+def evaluate(f: BinaryForm, x, y) -> int | Fraction:
+    """F(x, y) for integers or fractions x, y, by Horner's rule in x.
+
+    The result is an ``int`` when the coefficients and x, y are all
+    ``int``, and a ``Fraction`` otherwise."""
     acc = f.coeffs[0]
     ypow = 1
     for c in f.coeffs[1:]:
@@ -307,8 +318,10 @@ class CompareReport:
 MAX_BOX_RADIUS = 200
 
 
-def _box_values(f: BinaryForm, radius: int) -> dict[Fraction, tuple[int, int]]:
-    values: dict[Fraction, tuple[int, int]] = {}
+def _box_values(f: BinaryForm, radius: int) -> dict[int, tuple[int, int]]:
+    """Each value of ``f`` on the box |x|, |y| <= radius, with the first
+    point in (x, y) scan order that takes it."""
+    values: dict[int, tuple[int, int]] = {}
     for x in range(-radius, radius + 1):
         for y in range(-radius, radius + 1):
             values.setdefault(evaluate(f, x, y), (x, y))
@@ -326,14 +339,16 @@ def cross_value_check(
         m = 6 * n
     if not (0 <= n <= MAX_BOX_RADIUS and 0 <= m <= MAX_BOX_RADIUS):
         raise ValueError(f"box sizes must lie in 0..{MAX_BOX_RADIUS}, got {n} and {m}")
+    # Integral forms take integer values: evaluate on int coefficients.
+    f, g = (BinaryForm(tuple(map(int, h.coeffs))) for h in (f, g))
     f_small, g_small = _box_values(f, n), _box_values(g, n)
     f_big, g_big = _box_values(f, m), _box_values(g, m)
     unmatched_f = [
-        ValueWitness(int(v), pt) for v, pt in sorted(f_small.items())
+        ValueWitness(v, pt) for v, pt in sorted(f_small.items())
         if v not in g_big
     ]
     unmatched_g = [
-        ValueWitness(int(v), pt) for v, pt in sorted(g_small.items())
+        ValueWitness(v, pt) for v, pt in sorted(g_small.items())
         if v not in f_big
     ]
     return CompareReport(n, m, unmatched_f, unmatched_g)

@@ -13,7 +13,6 @@ from __future__ import annotations
 
 import heapq
 import itertools
-import math
 from dataclasses import dataclass
 
 from . import poly
@@ -270,6 +269,13 @@ def has_common_zero_mod7(system_elements, kind: str) -> bool:
     x^2 + x + 1 splits mod any prime = 1 mod 3.  The check is one-sided:
     a zero refutes "3 in I", but finding none does not prove that 3 lies
     in the ideal, so it cannot stand in for the Groebner certificates.
+
+    The search is projective.  Every coefficient polynomial is a
+    quadratic form, so q(c*t) = c^2 * q(t), and the side conditions
+    (t != 0 for pairs; (t1, t3) != 0 and (t2, t4) != 0 for triples) hold
+    for c*t whenever they hold for t, for any unit c mod 7.  A common
+    zero t therefore gives one, c*t, whose first nonzero entry is 1, so
+    only those 400 of the 2,400 nonzero tuples are tried.
     """
     if kind == "pair":
         polys = [q for e in system_elements for q in COEFF_POLYS[e]]
@@ -277,14 +283,15 @@ def has_common_zero_mod7(system_elements, kind: str) -> bool:
         polys = [COEFF_POLYS[e][0] for e in system_elements]
     else:
         raise ValueError(f"unknown system kind {kind!r}")
-    for t in itertools.product(range(7), repeat=4):
-        if kind == "pair" and math.gcd(math.gcd(*t), 7) != 1:
+    # The nonzero tuples whose first nonzero entry is 1.
+    projective = (
+        (0,) * k + (1,) + rest
+        for k in range(4)
+        for rest in itertools.product(range(7), repeat=3 - k)
+    )
+    for t in projective:
+        if kind == "triple" and not ((t[0] or t[2]) and (t[1] or t[3])):
             continue
-        if kind == "triple":
-            if math.gcd(t[0], math.gcd(t[2], 7)) != 1:
-                continue
-            if math.gcd(t[1], math.gcd(t[3], 7)) != 1:
-                continue
         if all(poly.evaluate(q, t) % 7 == 0 for q in polys):
             return True
     return False

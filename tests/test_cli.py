@@ -1,3 +1,5 @@
+import contextlib
+import io
 import json
 import re
 import shlex
@@ -5,8 +7,11 @@ import time
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from latcover.cli import EX_USAGE, main
+from latcover.forms import MAX_BOX_RADIUS, MAX_DEGREE
 
 README = Path(__file__).resolve().parent.parent / "README.md"
 
@@ -261,3 +266,87 @@ def test_form_compare_huge_box_exits_2(capsys):
     assert code == 2
     assert out == ""
     assert err.startswith("error:")
+
+
+@pytest.mark.parametrize("argv", [
+    ("form", "check", "--coeffs"),
+    ("form", "compare", "--n", "10", "--m", "60", "--g", "0,1,1,0", "--f"),
+])
+def test_form_above_degree_cap_exits_2(capsys, argv):
+    # Composition costs about degree^3 operations: without the cap a
+    # form of degree 120 takes seconds and one of degree 1000 minutes.
+    ones = ",".join(["1"] * (MAX_DEGREE + 2))
+    start = time.perf_counter()
+    code, out, err = run(capsys, *argv, ones)
+    assert time.perf_counter() - start < 1
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error:") and "degree" in err
+
+
+_number = st.one_of(
+    st.integers(-3, 12),
+    st.sampled_from([MAX_BOX_RADIUS + 1, 10**9, -10**9]),
+).map(str)
+_token = st.one_of(
+    _number,
+    st.text(alphabet="0123456789,;/-+. ex", max_size=8),
+    st.sampled_from(["--f", "--g", "--n", "--m", "--coeffs", "--conj",
+                     "--variant", "--modulus", "d3", "d6", "--help", "-"]),
+)
+_rational = st.one_of(_number, st.builds("{}/{}".format, _number, _number))
+_coeffs = st.one_of(
+    st.lists(_number, min_size=1, max_size=MAX_DEGREE + 3),
+    st.lists(_rational, min_size=1, max_size=MAX_DEGREE + 3),
+).map(",".join)
+_matrix = st.lists(_rational, min_size=4, max_size=4).map(
+    lambda e: f"{e[0]},{e[1]};{e[2]},{e[3]}"
+)
+
+
+def _arg(flag, value):
+    return value.map(lambda v: [flag, v])
+
+
+def _opt(flag, value):
+    return st.one_of(st.just([]), _arg(flag, value))
+
+
+def _join(*parts):
+    return st.tuples(*parts).map(lambda ps: [a for p in ps for a in p])
+
+
+_command = st.one_of(
+    _join(st.just(["form", "check"]), _arg("--coeffs", _coeffs),
+          _opt("--conj", _matrix), _opt("--variant", st.sampled_from(["d3", "d6"]))),
+    _join(st.just(["form", "compare"]), _arg("--f", _coeffs), _arg("--g", _coeffs),
+          _opt("--n", _number), _opt("--m", _number)),
+    _join(st.just(["verify-modular"]),
+          _opt("--modulus", st.sampled_from(["3", "4", "5", "9"]))),
+)
+_argv = _join(_opt("--format", st.sampled_from(["text", "json"])), _command)
+#: Random tokens, each put in at a random place, in half of the examples.
+_noise = st.one_of(
+    st.just([]), st.lists(st.tuples(st.integers(0, 12), _token), min_size=1, max_size=2)
+)
+
+
+def _insert(argv, noise):
+    for at, token in noise:
+        argv.insert(at, token)
+    return argv
+
+
+@given(st.builds(_insert, _argv, _noise))
+@settings(max_examples=100, deadline=None)
+def test_cli_contract_on_fuzzed_argv(argv):
+    # Exit 0 or 1 for a verdict, 2 for bad data, 64 for bad usage, and
+    # never a traceback.
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            code = main(argv)
+        except SystemExit as exc:
+            code = exc.code
+    assert code in (0, 1, 2, EX_USAGE), (argv, err.getvalue())
+    assert "Traceback" not in err.getvalue()

@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 from latcover.forms import (
     F0,
     MAX_BOX_RADIUS,
+    MAX_DEGREE,
     R_MAT,
     S_MAT,
     SEXTIC_CONJUGATOR,
@@ -240,9 +241,63 @@ def test_cross_value_check_requires_integral():
         cross_value_check(BinaryForm.of(Fraction(1, 2), 0, 0, 0), F0, 2, 2)
 
 
+def _reference_report(f, g, n, m):
+    """``cross_value_check(f, g, n, m).to_dict()`` computed in Fraction
+    arithmetic, term by term, keeping the first point in (x, y) scan
+    order that takes each value."""
+
+    def box_values(h, radius):
+        values = {}
+        for x in range(-radius, radius + 1):
+            for y in range(-radius, radius + 1):
+                v = sum(
+                    (c * Fraction(x) ** (h.degree - i) * Fraction(y) ** i
+                     for i, c in enumerate(h.coeffs)),
+                    start=Fraction(0),
+                )
+                values.setdefault(v, (x, y))
+        return values
+
+    def unmatched(small, big):
+        return [
+            {"value": int(v), "point": list(pt)}
+            for v, pt in sorted(small.items()) if v not in big
+        ]
+
+    f_small, g_small = box_values(f, n), box_values(g, n)
+    f_big, g_big = box_values(f, m), box_values(g, m)
+    un_f, un_g = unmatched(f_small, g_big), unmatched(g_small, f_big)
+    return {"n": n, "m": m, "ok": not un_f and not un_g,
+            "unmatched_f": un_f, "unmatched_g": un_g}
+
+
+integral_forms = st.lists(st.integers(-4, 4), min_size=2, max_size=7).filter(any).map(
+    lambda cs: BinaryForm.of(*cs)
+)
+
+
+@given(integral_forms, integral_forms, st.integers(0, 4), st.integers(0, 12))
+@example(BinaryForm.of(1, 0, 0, 0), BinaryForm.of(2, 0, 0, 0), 2, 12)
+@example(BinaryForm.of(1, -1, 3, 2), BinaryForm.of(2, 1, 0, -5), 4, 3)
+@settings(max_examples=60, deadline=None)
+def test_cross_value_check_matches_fraction_reference(f, g, n, m):
+    got = cross_value_check(f, g, n, m).to_dict()
+    assert got == _reference_report(f, g, n, m)
+    assert all(
+        type(w["value"]) is int for w in got["unmatched_f"] + got["unmatched_g"]
+    )
+
+
 def test_cross_value_check_caps_the_box():
     # Every box the paper's checks use lies inside the cap.
     assert MAX_BOX_RADIUS >= 60
     for n, m in ((MAX_BOX_RADIUS + 1, 0), (0, MAX_BOX_RADIUS + 1)):
         with pytest.raises(ValueError, match="box sizes"):
             cross_value_check(F0, F0, n, m)
+
+
+def test_form_degree_is_capped():
+    # The paper's forms have degrees 3 and 6.
+    assert BinaryForm.of(*range(1, MAX_DEGREE + 2)).degree == MAX_DEGREE
+    with pytest.raises(ValueError, match="degree must be at most"):
+        BinaryForm.of(*range(1, MAX_DEGREE + 3))

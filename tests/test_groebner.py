@@ -250,6 +250,41 @@ def test_finite_field_oracle_agrees(pair_verdicts, triple_verdicts):
         assert has_common_zero_mod7(v.elements, "triple") == (not v.contains_3)
 
 
+def test_coefficient_polynomials_are_quadratic_forms():
+    # The mod-7 oracle searches projectively, which is sound only while
+    # every coefficient polynomial is homogeneous of degree 2.
+    for name, polys in COEFF_POLYS.items():
+        for q in polys:
+            assert q and all(sum(m) == 2 for m in q), name
+
+
+def _full_search_mod7(elements, kind):
+    """Reference for the mod-7 oracle: every tuple of (Z/7)^4 that meets
+    the side conditions, with no projective reduction."""
+    if kind == "pair":
+        polys = [q for e in elements for q in COEFF_POLYS[e]]
+    else:
+        polys = [COEFF_POLYS[e][0] for e in elements]
+    for t in itertools.product(range(7), repeat=4):
+        if kind == "pair" and not any(t):
+            continue
+        if kind == "triple" and not ((t[0] or t[2]) and (t[1] or t[3])):
+            continue
+        if all(poly.evaluate(q, t) % 7 == 0 for q in polys):
+            return True
+    return False
+
+
+def test_projective_oracle_matches_full_search():
+    combos = [
+        *itertools.combinations(ELEMENT_NAMES, 2),
+        *itertools.combinations(ELEMENT_NAMES, 3),
+    ]
+    for combo in combos:
+        kind = "pair" if len(combo) == 2 else "triple"
+        assert has_common_zero_mod7(combo, kind) == _full_search_mod7(combo, kind), combo
+
+
 def test_oracle_rejects_unknown_kind():
     with pytest.raises(ValueError):
         has_common_zero_mod7(("R", "S"), "quadruple")
