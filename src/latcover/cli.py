@@ -13,7 +13,7 @@ from . import catalog as catalog_mod
 from . import forms, groebner, modular
 from .catalog import CheckResult
 from .enumeration import raw_solutions
-from .mat2 import parse_mat2
+from .mat2 import parse_mat2, parse_rational
 
 EX_USAGE = 64
 
@@ -127,7 +127,7 @@ def _cmd_verify_groebner(args) -> int:
 
 
 def _parse_form(text: str) -> forms.BinaryForm:
-    return forms.BinaryForm.of(*(p.strip() for p in text.split(",")))
+    return forms.BinaryForm.of(*map(parse_rational, text.split(",")))
 
 
 def _cmd_form(args) -> int:

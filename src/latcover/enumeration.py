@@ -6,11 +6,19 @@ is adjoined to one of the slots (only up to the first empty slot, which
 breaks slot-permutation symmetry) and the search recurses.  Recorded
 tuples cover Z^2; pruning and a partial-order filter then reduce them to
 the minimal coverings.
+
+The search keeps, for each subgroup, the bit mask of the forcing points it
+contains, so the union's mask is an OR of slot masks.  A union that misses
+a forcing point is not all of Z^2, so the exact covering test
+:func:`~latcover.lattices.is_cover` only runs on tuples whose mask is full.
 """
 
 from __future__ import annotations
 
+from functools import lru_cache
+
 from .lattices import (
+    FULL,
     ZERO,
     Subgroup,
     adjoin,
@@ -21,9 +29,6 @@ from .lattices import (
 )
 
 SLOTS = 6
-
-_E1 = (1, 0)
-_E2 = (0, 1)
 
 #: The forcing list: any union of six subgroups containing all of these
 #: points covers Z^2.  Order matters for the raw solution count.
@@ -56,24 +61,53 @@ class ForcingListExhausted(RuntimeError):
     """
 
 
+#: The mask of a union that contains every forcing point.
+_FULL_MASK = (1 << len(FORCING_POINTS)) - 1
+
+#: Size of each of the two memos below.  The search reaches 185 distinct
+#: subgroups and takes 1,348 distinct (subgroup, point) steps, so both
+#: fit with room to spare, and other callers cannot grow them further.
+_MEMO_SIZE = 4096
+
+
+@lru_cache(maxsize=_MEMO_SIZE)
+def _mask(s: Subgroup) -> int:
+    """Bit i is set iff ``s`` contains ``FORCING_POINTS[i]``."""
+    bits = 0
+    for i, p in enumerate(FORCING_POINTS):
+        if contains(s, p):
+            bits |= 1 << i
+    return bits
+
+
+@lru_cache(maxsize=_MEMO_SIZE)
+def _step(s: Subgroup, point_index: int) -> Subgroup | None:
+    """``s`` enlarged by the forcing point ``point_index``, or None if
+    the enlargement is all of Z^2."""
+    enlarged = adjoin(s, FORCING_POINTS[point_index])
+    return None if enlarged == FULL else enlarged
+
+
 def _children(slots: CoveringTuple, point_index: int):
     """One search step from ``slots``.
 
-    Skips the forcing points the union already covers, then adjoins the
-    first uncovered one to each slot in turn, up to the first rank-0 slot,
-    leaving out enlargements that are all of Z^2.  Yields
-    ``(child, covers, next_index)`` in slot order.
+    Finds the first forcing point from ``point_index`` on that the union
+    misses, as the lowest clear bit of the OR of the slot masks, then
+    adjoins it to each slot in turn, up to the first rank-0 slot, leaving
+    out enlargements that are all of Z^2.  Yields
+    ``(child, covers, next_index)`` in slot order.  ``covers`` is the
+    exact :func:`is_cover` verdict, which is only computed when the
+    child's union contains every forcing point: otherwise it is False.
     """
-    points = FORCING_POINTS
-    try:
-        v = points[point_index]
-        while any(contains(s, v) for s in slots):
-            point_index += 1
-            v = points[point_index]
-    except IndexError:
+    covered = 0
+    for s in slots:
+        covered |= _mask(s)
+    missed = (_FULL_MASK & ~covered) >> point_index
+    if not missed:
         raise ForcingListExhausted(
-            f"forcing list exhausted at position {point_index}"
-        ) from None
+            f"the union contains every forcing point from position {point_index} on"
+        )
+    point_index += (missed & -missed).bit_length() - 1
 
     last_slot = 0
     while slots[last_slot].rank != 0 and last_slot < SLOTS - 1:
@@ -81,11 +115,12 @@ def _children(slots: CoveringTuple, point_index: int):
 
     work = list(slots)
     for i in range(last_slot + 1):
-        enlarged = adjoin(slots[i], v)
-        if not (contains(enlarged, _E1) and contains(enlarged, _E2)):
+        enlarged = _step(slots[i], point_index)
+        if enlarged is not None:
             work[i] = enlarged
             child = tuple(work)
-            yield child, is_cover(child), point_index + 1
+            full = (covered | _mask(enlarged)) == _FULL_MASK
+            yield child, full and is_cover(child), point_index + 1
             work[i] = slots[i]
 
 
@@ -108,16 +143,27 @@ def prune(t: CoveringTuple) -> CoveringTuple:
     """The normal form of a covering tuple with its redundant slots dropped.
 
     Each slot in turn, in slot order, is replaced by the zero subgroup if
-    the rest still covers.  The surviving slots come back sorted by
-    (index, basis), followed by the zero slots, so tuples that differ
-    only in slot order prune to equal tuples.  The result still covers
-    Z^2.
+    the rest still covers.  The exact test only runs when the other
+    slots' forcing-point masks together are full; a missed forcing point
+    already shows that they do not cover.  The surviving slots come back
+    sorted by (index, basis), followed by the zero slots, so tuples that
+    differ only in slot order prune to equal tuples.  The result still
+    covers Z^2 if ``t`` does.
     """
     slots = list(t)
+    masks = [_mask(s) for s in slots]
     for i in range(len(slots)):
+        rest = 0
+        for j, m in enumerate(masks):
+            if j != i:
+                rest |= m
+        if rest != _FULL_MASK:
+            continue
         old = slots[i]
         slots[i] = ZERO
-        if not is_cover(slots):
+        if is_cover(slots):
+            masks[i] = 0
+        else:
             slots[i] = old
     kept = sorted((s for s in slots if s.rank != 0), key=lambda s: (index(s), s.gens))
     return tuple(kept) + (ZERO,) * (len(t) - len(kept))
@@ -129,7 +175,9 @@ def precedes(a: CoveringTuple, b: CoveringTuple) -> bool:
 
     The permutation only moves the slots up to and including the first
     rank-0 slot of ``a``; later slots (all rank 0 in a pruned tuple) are
-    matched identically.
+    matched identically.  The candidate slots of ``b`` for each slot of
+    ``a`` are listed one slot at a time, and the answer is False as soon
+    as one slot of ``a`` has none; a matching search runs over the lists.
     """
     k = len(a) - 1
     for i, s in enumerate(a):
@@ -138,18 +186,20 @@ def precedes(a: CoveringTuple, b: CoveringTuple) -> bool:
             break
     if not all(is_subgroup_of(a[i], b[i]) for i in range(k + 1, len(a))):
         return False
-    compat = [
-        [is_subgroup_of(a[i], b[j]) for j in range(k + 1)] for i in range(k + 1)
-    ]
+    rows = []
+    for i in range(k + 1):
+        row = [j for j in range(k + 1) if is_subgroup_of(a[i], b[j])]
+        if not row:
+            return False
+        rows.append(row)
 
     used = [False] * (k + 1)
 
     def assign(i: int) -> bool:
         if i > k:
             return True
-        row = compat[i]
-        for j in range(k + 1):
-            if row[j] and not used[j]:
+        for j in rows[i]:
+            if not used[j]:
                 used[j] = True
                 if assign(i + 1):
                     return True

@@ -2,8 +2,34 @@
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass
 from fractions import Fraction
+
+#: Longest number text :func:`parse_rational` accepts.  The paper's forms
+#: and matrices have entries of a few digits; the cap keeps a single entry
+#: from making the exact arithmetic downstream arbitrarily slow.
+MAX_NUMBER_LENGTH = 100
+
+_RATIONAL = re.compile(r"[+-]?(?:\d+(?:/\d+|\.\d*)?|\.\d+)", re.ASCII)
+
+
+def parse_rational(text: str) -> Fraction:
+    """Parse an integer ``p``, a fraction ``p/q`` or a decimal like ``-0.25``.
+
+    Raises ValueError for anything else and for text longer than
+    :data:`MAX_NUMBER_LENGTH`.  Exponent notation is refused because
+    ``Fraction`` reads ``1e999999999`` as a 10^9-digit integer; a zero
+    denominator raises ZeroDivisionError.
+    """
+    text = text.strip()
+    if len(text) > MAX_NUMBER_LENGTH:
+        raise ValueError(
+            f"number has {len(text)} characters, above the limit {MAX_NUMBER_LENGTH}"
+        )
+    if not _RATIONAL.fullmatch(text):
+        raise ValueError(f"expected p, p/q or a decimal without exponent, got {text!r}")
+    return Fraction(text)
 
 
 @dataclass(frozen=True, slots=True)
@@ -57,7 +83,7 @@ class RatMat2:
 
 
 def parse_mat2(text: str) -> RatMat2:
-    """Parse ``"a,b;c,d"`` with rational entries like ``1/3``."""
+    """Parse ``"a,b;c,d"``; each entry as in :func:`parse_rational`."""
     rows = text.split(";")
     if len(rows) != 2:
         raise ValueError(f"expected two rows in {text!r}")
@@ -66,5 +92,5 @@ def parse_mat2(text: str) -> RatMat2:
         parts = row.split(",")
         if len(parts) != 2:
             raise ValueError(f"expected two entries per row in {text!r}")
-        flat.extend(Fraction(p.strip()) for p in parts)
+        flat.extend(parse_rational(p) for p in parts)
     return RatMat2(*flat)

@@ -12,6 +12,7 @@ from hypothesis import strategies as st
 
 from latcover.cli import EX_USAGE, main
 from latcover.forms import MAX_BOX_RADIUS, MAX_DEGREE
+from latcover.mat2 import MAX_NUMBER_LENGTH
 
 README = Path(__file__).resolve().parent.parent / "README.md"
 
@@ -147,6 +148,44 @@ def test_form_check(capsys):
     )
     assert code == 0
     assert "extraordinary: True" in out
+
+
+def test_form_check_accepts_fractions_and_decimals(capsys):
+    code, out, _ = run(capsys, "form", "check", "--coeffs", "0,0.5,1/2,0")
+    assert code == 0
+    assert out.splitlines() == ["form: 1/2*X^2*Y + 1/2*X*Y^2", "extraordinary: True"]
+
+
+@pytest.mark.parametrize("argv", [
+    ("form", "check", "--coeffs", "1e999999999,0,0,1"),
+    ("form", "compare", "--f", "1e200000,0,0,1", "--g", "0,1,1,0", "--n", "10", "--m", "60"),
+    ("form", "compare", "--f", "0,1,1,0", "--g", "0,1,1,0x10"),
+    ("form", "check", "--coeffs", "0,1,1,0", "--conj", "1e9,0;0,1"),
+    ("form", "check", "--coeffs", "0,1_000,1,0"),
+    ("form", "check", "--coeffs", "0,1,1," + "1" * (MAX_NUMBER_LENGTH + 1)),
+])
+def test_form_number_outside_grammar_exits_2(capsys, argv):
+    # Fraction alone would read 1e999999999 as a 10^9-digit integer.
+    start = time.perf_counter()
+    code, out, err = run(capsys, *argv)
+    assert time.perf_counter() - start < 1
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error:")
+
+
+def test_leading_minus_needs_equals_sign(capsys):
+    # argparse takes "-1,0,0,1" for an option unless it is attached with "=".
+    with pytest.raises(SystemExit) as exc:
+        main(["form", "check", "--coeffs", "-1,0,0,1"])
+    assert exc.value.code == EX_USAGE
+    capsys.readouterr()
+    code, _, err = run(capsys, "form", "check", "--coeffs=-1,0,0,1")
+    assert code == 2 and "not an automorphism" in err  # parsed, then refused
+    code, out, _ = run(
+        capsys, "form", "compare", "--f=-1,0,0,1", "--g=-1,0,0,1", "--n", "2"
+    )
+    assert code == 0 and out.splitlines()[-1] == "PASS"
 
 
 def test_form_check_negative(capsys):

@@ -1,15 +1,19 @@
+import hashlib
 import itertools
 import random
 import sys
 from collections import Counter
 
+import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from latcover import enumeration
 from latcover.enumeration import (
     EMPTY_TUPLE,
     FORCING_POINTS,
     SLOTS,
+    ForcingListExhausted,
     enumerate_minimal_coverings,
     find_lattices,
     precedes,
@@ -22,6 +26,7 @@ from latcover.lattices import (
     adjoin,
     canonicalize,
     contains,
+    index,
     is_cover,
 )
 
@@ -122,6 +127,36 @@ _small_subgroup = st.one_of(
 )
 
 
+def _prune_by_exact_tests(t):
+    """Reference for ``prune``: the exact covering test for every slot."""
+    slots = list(t)
+    for i in range(len(slots)):
+        old = slots[i]
+        slots[i] = ZERO
+        if not is_cover(slots):
+            slots[i] = old
+    kept = sorted((s for s in slots if s.rank != 0), key=lambda s: (index(s), s.gens))
+    return tuple(kept) + (ZERO,) * (len(t) - len(kept))
+
+
+#: Every subgroup of index 2 to 4: six of them often cover Z^2 with slots
+#: to spare, which is where prune's forcing-point prefilter decides.
+_LOW_INDEX = sorted(
+    {canonicalize([(a, 0), (c, b)])
+     for a in range(1, 5) for b in range(1, 5) for c in range(a) if 2 <= a * b <= 4},
+    key=lambda s: s.gens,
+)
+
+
+@given(st.lists(
+    st.one_of(st.sampled_from(_LOW_INDEX), _small_subgroup),
+    min_size=SLOTS, max_size=SLOTS,
+))
+def test_prune_matches_exact_reference(slots):
+    t = tuple(slots)
+    assert prune(t) == _prune_by_exact_tests(t)
+
+
 @st.composite
 def _tuple_pairs(draw):
     """A padded 6-slot tuple and a second one that is often coarser."""
@@ -175,3 +210,32 @@ def test_raw_solutions_keeps_recursion_limit():
 def test_recursion_entry_point():
     sols = find_lattices(EMPTY_TUPLE, 0)
     assert len(sols) == 6131
+
+
+def test_raw_solutions_pinned_in_order():
+    # The 6131 tuples, element for element and in search order, as the
+    # search produced them before it worked on forcing-point masks.
+    text = repr([tuple(s.gens for s in t) for t in raw_solutions()])
+    assert hashlib.sha256(text.encode()).hexdigest() == (
+        "5c6ab67d23a4c27c77eb3ddeeb0bbfb4aadcd5d160e754a8fd7fb9c651bbe1a0"
+    )
+
+
+def test_search_visits_6178_nodes(monkeypatch):
+    # The recursion calls find_lattices through its module global.
+    calls = 0
+    inner = enumeration.find_lattices
+
+    def counted(slots, point_index):
+        nonlocal calls
+        calls += 1
+        return inner(slots, point_index)
+
+    monkeypatch.setattr(enumeration, "find_lattices", counted)
+    assert len(raw_solutions()) == 6131
+    assert calls == 6178
+
+
+def test_search_past_forcing_list_raises():
+    with pytest.raises(ForcingListExhausted):
+        find_lattices(EMPTY_TUPLE, len(FORCING_POINTS))
