@@ -5,10 +5,12 @@ and the per-length verification checks.
 from __future__ import annotations
 
 import math
+import re
 from dataclasses import dataclass
 
 from .enumeration import SLOTS, CoveringTuple, enumerate_minimal_coverings, precedes
 from .lattices import Subgroup, ZERO, canonicalize, density_sum, index, is_cover
+from .mat2 import MAX_NUMBER_LENGTH
 
 #: Expected number of minimal coverings per length.
 EXPECTED_COUNTS = {3: 1, 4: 4, 5: 9, 6: 40}
@@ -47,6 +49,25 @@ def subgroup_text(s: Subgroup) -> str:
     return "0"
 
 
+_INTEGER = re.compile(r"[+-]?[0-9]+")
+
+
+def _parse_integer(text: str) -> int:
+    """Parse an ASCII integer ``[+-]?[0-9]+``, surrounding blanks allowed.
+
+    Raises ValueError for anything else, such as ``_`` separators or
+    non-ASCII digits, which ``int`` would accept, and for text longer
+    than :data:`~latcover.mat2.MAX_NUMBER_LENGTH`.
+    """
+    text = text.strip()
+    if len(text) > MAX_NUMBER_LENGTH or not _INTEGER.fullmatch(text):
+        raise ValueError(
+            f"expected an ASCII integer of at most {MAX_NUMBER_LENGTH} characters, "
+            f"got {text[:20]!r}"
+        )
+    return int(text)
+
+
 def parse_subgroup(text: str) -> Subgroup:
     """Inverse of :func:`subgroup_text`."""
     text = text.strip()
@@ -55,11 +76,11 @@ def parse_subgroup(text: str) -> Subgroup:
     rows = text.split(";")
     try:
         if len(rows) == 1:
-            u, v = (int(p) for p in rows[0].split(","))
+            u, v = (_parse_integer(p) for p in rows[0].split(","))
             return canonicalize([(u, v)])
         if len(rows) == 2:
-            a, z = (int(p) for p in rows[0].split(","))
-            c, b = (int(p) for p in rows[1].split(","))
+            a, z = (_parse_integer(p) for p in rows[0].split(","))
+            c, b = (_parse_integer(p) for p in rows[1].split(","))
             if z != 0:
                 raise ValueError
             return canonicalize([(a, c), (0, b)])
@@ -146,7 +167,7 @@ def parse(text: str) -> Catalog:
             head, *parts = [p.strip() for p in line.split("|")]
             if not head.startswith("len=") or not parts:
                 raise ValueError
-            length = int(head[4:])
+            length = _parse_integer(head[4:])
             entry = entry_from_texts(parts)
             if entry.length != length:
                 raise ValueError

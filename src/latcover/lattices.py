@@ -202,14 +202,13 @@ def adjoin(s: Subgroup, v: Vec2) -> Subgroup:
     return canonicalize(s.gens + (tuple(v),))
 
 
-#: Largest intersection index :func:`is_cover` accepts.  The search peaks
-#: at an index of 14,700 and the 54 catalog entries at 36, so this leaves
-#: wide margin, while one row mask stays at most 125 kB and the row loop
-#: well under a second.  Past it a single query would take minutes or
-#: exhaust memory, so such input is rejected instead.
+#: Largest intersection index :func:`is_cover` accepts.  The unions that
+#: the search, ``prune`` and ``canonical_entry`` test peak at an index of
+#: 2,484 and the 54 catalog entries at 36, so this leaves wide margin,
+#: while one row mask stays at most 125 kB and the row loop well under a
+#: second.  Past it a single query would take minutes or exhaust memory,
+#: so such input is rejected instead.
 MAX_COVER_INDEX = 10**6
-
-_cover_cache: dict[tuple, bool] = {}
 
 
 def is_cover(subgroups) -> bool:
@@ -217,47 +216,58 @@ def is_cover(subgroups) -> bool:
 
     Only rank-2 members can contribute.  Their intersection w, with basis
     (wa, 0), (wc, wb), lies in every member, so the union is w-periodic
-    and covers Z^2 iff it covers the box [0, wa) x [0, wb).  Each row j of
-    the box is a ``wa``-bit mask: a member (a, 0), (c, b) with b | j holds
-    the x with x = (j / b) * c (mod a), and since a | wa these are the
-    bits of ``comb_a = full // (2**a - 1)`` (every a-th bit) shifted left
-    by that residue.  The test stops at the first row that is not full.
+    and covers Z^2 iff it covers the box [0, wa) x [0, wb).  Only the box
+    is needed, not w itself.  A point (x, 0) lies in w iff every member's
+    a divides x, so wa is the lcm of the a.  wb is the least height y > 0
+    of a point of w.  Every member's b must divide y, so y = l t with l
+    the lcm of the b, and some x must solve the congruences x = t d
+    (mod a), d = (l / b) c, of all members.  Such a system is solvable
+    iff it is pairwise solvable, that is iff g / gcd(g, d - d') divides t
+    for every pair of members, g being the gcd of their a.  So wb is l
+    times the lcm k of those quotients.
 
-    Raises ValueError when the index wa * wb exceeds
-    :data:`MAX_COVER_INDEX`.  Results are cached by the sorted member
-    bases: the forcing search and ``prune`` ask 21,041 times about 2,458
-    distinct tuples, and without the cache their ``is_cover`` time more
-    than doubles (0.14 s to 0.33 s with Python 3.11 on 2 cores).
+    Each row j of the box is a ``wa``-bit mask: a member (a, 0), (c, b)
+    with b | j holds the x with x = (j / b) * c (mod a), and since a | wa
+    these are the bits of ``comb_a = full // (2**a - 1)`` (every a-th bit)
+    shifted left by that residue.  The test stops at the first row that is
+    not full.
+
+    Raises ValueError, before building any row, when the index wa * wb
+    exceeds :data:`MAX_COVER_INDEX`.  Keeps no state between calls; the
+    forcing search memoizes its own queries.
     """
-    members = [s for s in subgroups if len(s.gens) == 2]
-    key = tuple(sorted(s.gens for s in members))
-    if not key:
+    members = [s.gens for s in subgroups if len(s.gens) == 2]
+    if not members:
         return False
-    if FULL.gens in key:
+    if FULL.gens in members:
         return True
-    cached = _cover_cache.get(key)
-    if cached is not None:
-        return cached
-    w = reduce(_intersect_rank2, members)
-    (wa, _), (_, wb) = w.gens
+    wa = math.lcm(*[a for (a, _), _ in members])
+    l = math.lcm(*[b for _, (_, b) in members])
+    k = 1
+    earlier = []
+    for (a, _), (c, b) in members:
+        d = l // b * c
+        for a2, d2 in earlier:
+            g = math.gcd(a, a2)
+            if g > 1:
+                k = math.lcm(k, g // math.gcd(g, d - d2))
+        earlier.append((a, d))
+    wb = l * k
     if wa * wb > MAX_COVER_INDEX:
         raise ValueError(
             f"covering test needs an intersection of index {wa * wb}, "
             f"above the limit {MAX_COVER_INDEX}"
         )
     full = (1 << wa) - 1
-    rows = [(b, c, a, full // ((1 << a) - 1)) for (a, _), (c, b) in key]
-    result = True
+    rows = [(b, c, a, full // ((1 << a) - 1)) for (a, _), (c, b) in members]
     for j in range(wb):
         mask = 0
         for b, c, a, comb in rows:
             if j % b == 0:
                 mask |= comb << ((j // b) * c % a)
         if mask != full:
-            result = False
-            break
-    _cover_cache[key] = result
-    return result
+            return False
+    return True
 
 
 def lattice_of(gamma) -> Subgroup:

@@ -100,6 +100,19 @@ def test_parse_reports_line_number():
         parse("len=4 | 1,0;0,2 | 1,0;1,2 | 2,0;0,1\n")
 
 
+def test_parse_length_header_is_ascii_integer():
+    # ``int`` reads "0_3" as 3.
+    with pytest.raises(ValueError, match="line 1: malformed catalog line"):
+        parse("len=0_3 | 2,0;0,1 | 1,0;0,2 | 1,0;1,2")
+
+
+def test_parse_subgroup_integer_grammar():
+    assert parse_subgroup(" +2, 0 ; -1 , 3 ") == parse_subgroup("2,0;-1,3")
+    for bad in ("1,0;1,2_0", "\u0661,0;0,2", "1,0;0,1e3", "1,0;0," + "1" * 101):
+        with pytest.raises(ValueError, match="malformed subgroup text"):
+            parse_subgroup(bad)
+
+
 def _index_q_sublattices(s: Subgroup, q: int):
     """The q + 1 sublattices of index q inside a rank-2 subgroup."""
     g1, g2 = s.gens

@@ -109,6 +109,21 @@ def test_verify_catalog_rejects_corrupt_file(capsys, tmp_path):
     assert "line 1" in err
 
 
+@pytest.mark.parametrize("line", [
+    # ``int`` reads these as index 20, as "1,0;0,2" and as length 3.
+    "len=3 | 2,0;0,1 | 1,0;0,2 | 1,0;1,2_0",
+    "len=3 | 2,0;0,1 | \u0661,0;0,2 | 1,0;1,2",
+    "len=0_3 | 2,0;0,1 | 1,0;0,2 | 1,0;1,2",
+])
+def test_verify_catalog_rejects_non_ascii_integers(capsys, tmp_path, line):
+    bad = tmp_path / "bad.cat"
+    bad.write_text(line + "\n", encoding="utf-8")
+    code, _, err = run(capsys, "verify-catalog", "--in", str(bad))
+    assert code == 2
+    assert err.startswith("error: line 1: malformed catalog line")
+    assert "does not cover" not in err
+
+
 def test_verify_catalog_rejects_huge_index(capsys, tmp_path):
     # A lattice of index 10^12 would make the covering test scan 2 * 10^12
     # points; it is rejected as a data error instead.

@@ -239,3 +239,26 @@ def test_search_visits_6178_nodes(monkeypatch):
 def test_search_past_forcing_list_raises():
     with pytest.raises(ForcingListExhausted):
         find_lattices(EMPTY_TUPLE, len(FORCING_POINTS))
+
+
+def test_cover_memo_is_bounded():
+    assert enumeration._cover_memo.cache_info().maxsize == enumeration._MEMO_SIZE
+
+
+def test_search_and_prune_test_2458_distinct_unions(monkeypatch):
+    # The memo calls is_cover through the module global, so a wrapper
+    # there sees every miss; from a cold memo there is one per distinct
+    # union of rank-2 bases.
+    calls = 0
+    inner = enumeration.is_cover
+
+    def counted(subgroups):
+        nonlocal calls
+        calls += 1
+        return inner(subgroups)
+
+    monkeypatch.setattr(enumeration, "is_cover", counted)
+    enumeration._cover_memo.cache_clear()
+    pruned = {prune(t) for t in raw_solutions()}
+    assert len(pruned) == 101
+    assert calls == 2458

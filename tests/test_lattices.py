@@ -1,5 +1,6 @@
 import math
 import random
+from collections.abc import Sized
 from fractions import Fraction
 from functools import reduce
 
@@ -7,6 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import latcover.lattices as lattices_module
 from latcover.lattices import (
     FULL,
     INDEX_INFINITE,
@@ -240,6 +242,61 @@ def test_is_cover_rejects_huge_index():
     tup = triple + [Subgroup(((2, 0), (1, 249_999)))]
     assert MAX_COVER_INDEX // 2 < index(reduce(intersect, tup)) <= MAX_COVER_INDEX
     assert is_cover(tup)
+
+
+def test_is_cover_period_is_exact(monkeypatch):
+    # Wide members put the index of the members' intersection, computed
+    # by folding ``intersect``, on both sides of the cap.  is_cover derives
+    # that index without the fold, so raising exactly above the cap pins
+    # it; below the cap the verdict must match the oracle.  A cap one
+    # below the true index must bite on every tuple, so that no tuple's
+    # index is underestimated.  Members of mixed width keep three to six
+    # of them in the band, so that every pair of positions decides the
+    # index of some tuple.
+    rng = random.Random(20261019)
+    seen = {True: 0, False: 0}
+    while min(seen.values()) < 300:
+        tup = [
+            _random_lattice(rng, rng.choice((12, 36, 400, 3600)))
+            for _ in range(rng.randint(3, 6))
+        ]
+        tup = [s for s in tup if s != FULL]
+        n = index(reduce(intersect, tup))
+        if not MAX_COVER_INDEX // 30 < n <= 30 * MAX_COVER_INDEX:
+            continue
+        above = n > MAX_COVER_INDEX
+        if above:
+            with pytest.raises(ValueError):
+                is_cover(tup)
+        else:
+            assert is_cover(tup) == _period_box_oracle(tup), tup
+        seen[above] += 1
+        with monkeypatch.context() as m:
+            m.setattr(lattices_module, "MAX_COVER_INDEX", n - 1)
+            with pytest.raises(ValueError):
+                is_cover(tup)
+
+
+def test_is_cover_keeps_no_module_state():
+    def sizes():
+        out = {}
+        for name, value in vars(lattices_module).items():
+            if hasattr(value, "cache_info"):
+                out[name] = value.cache_info().currsize
+            elif isinstance(value, Sized) and not isinstance(value, type):
+                out[name] = len(value)
+        return out
+
+    before = sizes()
+    rng = random.Random(7)
+    keys = set()
+    while len(keys) < 1000:
+        tup = [_random_lattice(rng) for _ in range(rng.randint(1, 6))]
+        key = tuple(sorted(s.gens for s in tup))
+        if key not in keys:
+            keys.add(key)
+            is_cover(tup)
+    assert sizes() == before
 
 
 def test_is_cover_short_circuit_and_rank_filter():
