@@ -11,6 +11,10 @@ from fractions import Fraction
 #: from making the exact arithmetic downstream arbitrarily slow.
 MAX_NUMBER_LENGTH = 100
 
+#: Largest order :meth:`RatMat2.order` looks for.  A finite-order
+#: element of GL(2, Q) has order 1, 2, 3, 4 or 6, so this is ample.
+MAX_ORDER = 24
+
 _RATIONAL = re.compile(r"[+-]?(?:\d+(?:/\d+|\.\d*)?|\.\d+)", re.ASCII)
 
 
@@ -69,10 +73,10 @@ class RatMat2:
             raise ZeroDivisionError("matrix is singular")
         return RatMat2(self.d / det, -self.b / det, -self.c / det, self.a / det)
 
-    def order(self, limit: int = 24):
-        """Multiplicative order, or None if it exceeds ``limit``."""
+    def order(self):
+        """Multiplicative order, or None if it exceeds :data:`MAX_ORDER`."""
         acc = self
-        for n in range(1, limit + 1):
+        for n in range(1, MAX_ORDER + 1):
             if acc == RatMat2.identity():
                 return n
             acc = acc @ self

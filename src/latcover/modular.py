@@ -138,6 +138,8 @@ class ScanReport:
 def scan_pair_classes(x: int) -> ScanReport:
     """Scan all residue tuples mod x in {3, 4, 5} and bound the class
     count of the six coefficient pairs.
+
+    ``violations`` lists each tuple that breaks a clause, once.
     """
     if x not in (3, 4, 5):
         raise ValueError("modulus must be 3, 4 or 5")
@@ -166,24 +168,30 @@ def scan_pair_classes(x: int) -> ScanReport:
                             badness_violations.append(t)
     report.exceptional = exceptional
     if x == 5:
-        report.clauses["no-exceptional-tuples"] = not exceptional
-        report.clauses["low-order-at-most-1"] = not z_violations
+        offending = {
+            "no-exceptional-tuples": exceptional,
+            "low-order-at-most-1": z_violations,
+        }
     elif x == 4:
-        report.clauses["exceptional-only-with-(2,0)"] = not mod4_shape_violations
-        report.clauses["low-order-at-most-1"] = not z_violations
-        report.clauses["badness-at-most-1"] = not badness_violations
-        report.violations = mod4_shape_violations + badness_violations
+        offending = {
+            "exceptional-only-with-(2,0)": mod4_shape_violations,
+            "low-order-at-most-1": z_violations,
+            "badness-at-most-1": badness_violations,
+        }
     else:
         bad = set(BAD_TUPLES_MOD3)
-        report.clauses["exceptional-set-matches"] = set(exceptional) == bad and len(
-            exceptional
-        ) == len(bad)
-        all_zero = all(
-            all(p == (0, 0) for p in top_pairs(t, 3)[1:]) for t in bad
-        )
-        report.clauses["exceptional-pairs-all-zero"] = all_zero
-        z_outside = [t for t in z_violations if t not in bad]
-        report.clauses["low-order-at-most-1-outside-exceptional"] = not z_outside
+        offending = {
+            "exceptional-set-matches": sorted(bad.symmetric_difference(exceptional)),
+            "exceptional-pairs-all-zero": [
+                t for t in BAD_TUPLES_MOD3
+                if any(p != (0, 0) for p in top_pairs(t, 3)[1:])
+            ],
+            "low-order-at-most-1-outside-exceptional": [
+                t for t in z_violations if t not in bad
+            ],
+        }
+    report.clauses = {clause: not tuples for clause, tuples in offending.items()}
+    report.violations = list(dict.fromkeys(t for ts in offending.values() for t in ts))
     return report
 
 

@@ -9,6 +9,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from latcover import enumeration
+from latcover.catalog import generate_catalog
 from latcover.enumeration import (
     EMPTY_TUPLE,
     FORCING_POINTS,
@@ -239,6 +240,23 @@ def test_search_visits_6178_nodes(monkeypatch):
 def test_search_past_forcing_list_raises():
     with pytest.raises(ForcingListExhausted):
         find_lattices(EMPTY_TUPLE, len(FORCING_POINTS))
+
+
+@pytest.mark.parametrize("kept", [40, 80])
+def test_catalog_fails_on_a_forcing_list_that_does_not_force(monkeypatch, kept):
+    # With a truncated list some union with a full mask does not cover;
+    # the search's exact test sends it past the list, and building the
+    # catalog must fail instead of returning entries.
+    monkeypatch.setattr(enumeration, "FORCING_POINTS", FORCING_POINTS[:kept])
+    monkeypatch.setattr(enumeration, "_FULL_MASK", (1 << kept) - 1)
+    enumeration._mask.cache_clear()
+    enumeration._step.cache_clear()
+    try:
+        with pytest.raises(ForcingListExhausted):
+            generate_catalog()
+    finally:
+        enumeration._mask.cache_clear()
+        enumeration._step.cache_clear()
 
 
 def test_cover_memo_is_bounded():

@@ -113,3 +113,15 @@ def test_run_all_scans_green():
     for r in reports:
         d = r.to_dict()
         assert d["ok"] and d["name"] == r.name
+
+
+@pytest.mark.parametrize("x", [3, 4, 5])
+def test_failed_low_order_clause_lists_offending_tuples(monkeypatch, x):
+    from latcover import modular
+
+    monkeypatch.setattr(modular, "low_order_count", lambda pairs, n: 2)
+    report = scan_pair_classes(x)
+    failed = [clause for clause, ok in report.clauses.items() if not ok]
+    assert failed and all(clause.startswith("low-order") for clause in failed)
+    assert report.to_dict()["violations"]
+    assert len(set(report.violations)) == len(report.violations)
