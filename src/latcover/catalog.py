@@ -15,6 +15,14 @@ from .mat2 import MAX_NUMBER_LENGTH
 #: Expected number of minimal coverings per length.
 EXPECTED_COUNTS = {3: 1, 4: 4, 5: 9, 6: 40}
 
+#: Most entries :func:`parse` accepts.  The incomparability check of
+#: :func:`verify_catalog` compares all ordered pairs of entries, so its
+#: cost grows with the square of the count; the real catalog has 54.
+MAX_CATALOG_ENTRIES = 1000
+
+#: Most comparable pairs the incomparability check lists in its detail.
+_SHOWN_PAIRS = 10
+
 
 def column_form(s: Subgroup) -> tuple[int, int, int, int]:
     """The column-style canonical basis (a, c), (0, b) of a rank-2
@@ -156,13 +164,18 @@ def serialize(catalog: Catalog) -> str:
 def parse(text: str) -> Catalog:
     """Parse the line format written by :func:`serialize`.
 
-    Raises ValueError naming the offending line number on bad input.
+    Raises ValueError naming the offending line number on bad input,
+    including the line of an entry past :data:`MAX_CATALOG_ENTRIES`.
     """
     entries = []
     for lineno, line in enumerate(text.splitlines(), start=1):
         line = line.strip()
         if not line:
             continue
+        if len(entries) == MAX_CATALOG_ENTRIES:
+            raise ValueError(
+                f"line {lineno}: more than {MAX_CATALOG_ENTRIES} catalog entries"
+            )
         try:
             head, *parts = [p.strip() for p in line.split("|")]
             if not head.startswith("len=") or not parts:
@@ -276,6 +289,11 @@ def verify_catalog(catalog: Catalog) -> list[CheckResult]:
         for j, b in enumerate(catalog.entries)
         if i != j and precedes(_pad(a), _pad(b))
     ]
-    check("entries-incomparable", not comparable, f"comparable pairs {comparable}")
+    check(
+        "entries-incomparable",
+        not comparable,
+        f"comparable pairs {comparable[:_SHOWN_PAIRS]}"
+        + (f", {len(comparable)} in all" if comparable else ""),
+    )
 
     return results

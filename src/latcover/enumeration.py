@@ -12,7 +12,10 @@ contains, so the union's mask is an OR of slot masks.  A union that misses
 a forcing point is not all of Z^2, so the exact covering test
 :func:`~latcover.lattices.is_cover` only runs on tuples whose mask is full.
 Those tests go through a bounded memo keyed by the sorted rank-2 bases:
-the search and :func:`prune` ask 21,041 times about 2,458 distinct tuples.
+the search tests 2,209 distinct tuples, all of them covers.
+:func:`prune` runs no exact test; it decides on the masks alone.  The
+memos are keyed by basis tuples, not by :class:`Subgroup` objects, so
+that hashing and comparing the keys runs in C.
 """
 
 from __future__ import annotations
@@ -67,15 +70,17 @@ class ForcingListExhausted(RuntimeError):
 _FULL_MASK = (1 << len(FORCING_POINTS)) - 1
 
 #: Size of each of the three memos below.  The search reaches 185
-#: distinct subgroups, takes 1,348 distinct (subgroup, point) steps, and
-#: with ``prune`` tests 2,458 distinct tuples, so all fit with room to
-#: spare, and other callers cannot grow them further.
+#: distinct subgroups, takes 1,348 distinct (subgroup, point) steps and
+#: tests 2,209 distinct tuples, so all fit with room to spare, and other
+#: callers cannot grow them further.
 _MEMO_SIZE = 4096
 
 
 @lru_cache(maxsize=_MEMO_SIZE)
-def _mask(s: Subgroup) -> int:
-    """Bit i is set iff ``s`` contains ``FORCING_POINTS[i]``."""
+def _mask(gens: tuple) -> int:
+    """Bit i is set iff the subgroup with basis ``gens`` contains
+    ``FORCING_POINTS[i]``."""
+    s = Subgroup(gens)
     bits = 0
     for i, p in enumerate(FORCING_POINTS):
         if contains(s, p):
@@ -84,11 +89,11 @@ def _mask(s: Subgroup) -> int:
 
 
 @lru_cache(maxsize=_MEMO_SIZE)
-def _step(s: Subgroup, point_index: int) -> Subgroup | None:
-    """``s`` enlarged by the forcing point ``point_index``, or None if
-    the enlargement is all of Z^2."""
-    enlarged = adjoin(s, FORCING_POINTS[point_index])
-    return None if enlarged == FULL else enlarged
+def _step(gens: tuple, point_index: int) -> Subgroup | None:
+    """The subgroup with basis ``gens`` enlarged by the forcing point
+    ``point_index``, or None if the enlargement is all of Z^2."""
+    enlarged = adjoin(Subgroup(gens), FORCING_POINTS[point_index])
+    return None if enlarged.gens == FULL.gens else enlarged
 
 
 @lru_cache(maxsize=_MEMO_SIZE)
@@ -119,7 +124,7 @@ def _children(slots: CoveringTuple, point_index: int):
     """
     covered = 0
     for s in slots:
-        covered |= _mask(s)
+        covered |= _mask(s.gens)
     missed = (_FULL_MASK & ~covered) >> point_index
     if not missed:
         raise ForcingListExhausted(
@@ -128,16 +133,16 @@ def _children(slots: CoveringTuple, point_index: int):
     point_index += (missed & -missed).bit_length() - 1
 
     last_slot = 0
-    while slots[last_slot].rank != 0 and last_slot < SLOTS - 1:
+    while slots[last_slot].gens and last_slot < SLOTS - 1:
         last_slot += 1
 
     work = list(slots)
     for i in range(last_slot + 1):
-        enlarged = _step(slots[i], point_index)
+        enlarged = _step(slots[i].gens, point_index)
         if enlarged is not None:
             work[i] = enlarged
             child = tuple(work)
-            full = (covered | _mask(enlarged)) == _FULL_MASK
+            full = (covered | _mask(enlarged.gens)) == _FULL_MASK
             yield child, full and _covers(child), point_index + 1
             work[i] = slots[i]
 
@@ -161,30 +166,35 @@ def prune(t: CoveringTuple) -> CoveringTuple:
     """The normal form of a covering tuple with its redundant slots dropped.
 
     Each slot in turn, in slot order, is replaced by the zero subgroup if
-    the rest still covers.  The exact test only runs when the other
-    slots' forcing-point masks together are full; a missed forcing point
-    already shows that they do not cover.  It shares the search's memo,
-    so a union tested before, by the search or an earlier ``prune``,
-    costs a lookup.  The surviving slots come back
-    sorted by (index, basis), followed by the zero slots, so tuples that
-    differ only in slot order prune to equal tuples.  The result still
-    covers Z^2 if ``t`` does.
+    the other slots' forcing-point masks together are full.  By the
+    forcing property (at most ``SLOTS`` subgroups whose union contains
+    every forcing point cover Z^2) the rest then still covers, and a
+    missed forcing point shows that it does not, so no exact test runs.
+    The surviving slots come back sorted by (index, basis), followed by
+    the zero slots, so tuples that differ only in slot order prune to
+    equal tuples.  Raises ValueError for more than ``SLOTS`` slots, where
+    the forcing property says nothing.
+
+    A wrong drop is not silent.  It yields a candidate that does not
+    cover, and every tuple below it in :func:`precedes` fails to cover
+    too.  That order is antisymmetric on pruned forms, so the minimality
+    filter of :func:`enumerate_minimal_coverings` keeps some non-covering
+    candidate, and the exact test of
+    :func:`~latcover.catalog.canonical_entry` makes building the catalog
+    raise ValueError.
     """
+    if len(t) > SLOTS:
+        raise ValueError(f"{len(t)} slots, more than {SLOTS}")
     slots = list(t)
-    masks = [_mask(s) for s in slots]
+    masks = [_mask(s.gens) for s in slots]
     for i in range(len(slots)):
         rest = 0
         for j, m in enumerate(masks):
             if j != i:
                 rest |= m
-        if rest != _FULL_MASK:
-            continue
-        old = slots[i]
-        slots[i] = ZERO
-        if _covers(slots):
+        if rest == _FULL_MASK:
+            slots[i] = ZERO
             masks[i] = 0
-        else:
-            slots[i] = old
     kept = sorted((s for s in slots if s.rank != 0), key=lambda s: (index(s), s.gens))
     return tuple(kept) + (ZERO,) * (len(t) - len(kept))
 

@@ -203,12 +203,39 @@ def adjoin(s: Subgroup, v: Vec2) -> Subgroup:
 
 
 #: Largest intersection index :func:`is_cover` accepts.  The unions that
-#: the search, ``prune`` and ``canonical_entry`` test peak at an index of
-#: 2,484 and the 54 catalog entries at 36, so this leaves wide margin,
-#: while one row mask stays at most 125 kB and the row loop well under a
-#: second.  Past it a single query would take minutes or exhaust memory,
-#: so such input is rejected instead.
+#: the search and ``canonical_entry`` test peak at an index of 2,484 and
+#: the 54 catalog entries at 36, so this leaves wide margin, while one row
+#: mask stays at most 125 kB and the row loop well under a second.  Past
+#: it a single query would take minutes or exhaust memory, so such input
+#: is rejected instead.
 MAX_COVER_INDEX = 10**6
+
+
+def _period_factor(members, l: int) -> int:
+    """The lcm k of g / gcd(g, d - d') over pairs of members, with g the
+    gcd of their a and d = (l / b) c; see :func:`is_cover`."""
+    k = 1
+    earlier = []
+    for (a, _), (c, b) in members:
+        d = l // b * c
+        for a2, d2 in earlier:
+            g = math.gcd(a, a2)
+            if g > 1:
+                k = math.lcm(k, g // math.gcd(g, d - d2))
+        earlier.append((a, d))
+    return k
+
+
+def _rows_full(rows, full: int, start: int, stop: int) -> bool:
+    """True iff every row j in [start, stop) of the box is ``full``."""
+    for j in range(start, stop):
+        mask = 0
+        for b, c, a, comb in rows:
+            if j % b == 0:
+                mask |= comb << ((j // b) * c % a)
+        if mask != full:
+            return False
+    return True
 
 
 def is_cover(subgroups) -> bool:
@@ -232,9 +259,13 @@ def is_cover(subgroups) -> bool:
     shifted left by that residue.  The test stops at the first row that is
     not full.
 
-    Raises ValueError, before building any row, when the index wa * wb
-    exceeds :data:`MAX_COVER_INDEX`.  Keeps no state between calls; the
-    forcing search memoizes its own queries.
+    Every quotient divides its g, which divides wa, so k divides wa and
+    wa * l * wa bounds the index wa * wb.  Rows 0 to l - 1 lie in every
+    box, since wb >= l, so they are scanned first and k is only computed
+    once they are all full; most non-covers fail in them.  Only when the
+    bound exceeds :data:`MAX_COVER_INDEX` is k computed before any row,
+    and ValueError raised if the index wa * wb itself exceeds it.  Keeps
+    no state between calls; the forcing search memoizes its own queries.
     """
     members = [s.gens for s in subgroups if len(s.gens) == 2]
     if not members:
@@ -243,31 +274,19 @@ def is_cover(subgroups) -> bool:
         return True
     wa = math.lcm(*[a for (a, _), _ in members])
     l = math.lcm(*[b for _, (_, b) in members])
-    k = 1
-    earlier = []
-    for (a, _), (c, b) in members:
-        d = l // b * c
-        for a2, d2 in earlier:
-            g = math.gcd(a, a2)
-            if g > 1:
-                k = math.lcm(k, g // math.gcd(g, d - d2))
-        earlier.append((a, d))
-    wb = l * k
-    if wa * wb > MAX_COVER_INDEX:
+    k = _period_factor(members, l) if wa * l * wa > MAX_COVER_INDEX else None
+    if k is not None and wa * l * k > MAX_COVER_INDEX:
         raise ValueError(
-            f"covering test needs an intersection of index {wa * wb}, "
+            f"covering test needs an intersection of index {wa * l * k}, "
             f"above the limit {MAX_COVER_INDEX}"
         )
     full = (1 << wa) - 1
     rows = [(b, c, a, full // ((1 << a) - 1)) for (a, _), (c, b) in members]
-    for j in range(wb):
-        mask = 0
-        for b, c, a, comb in rows:
-            if j % b == 0:
-                mask |= comb << ((j // b) * c % a)
-        if mask != full:
-            return False
-    return True
+    if not _rows_full(rows, full, 0, l):
+        return False
+    if k is None:
+        k = _period_factor(members, l)
+    return _rows_full(rows, full, l, l * k)
 
 
 def lattice_of(gamma) -> Subgroup:

@@ -1,3 +1,4 @@
+import hashlib
 import math
 
 import pytest
@@ -8,6 +9,8 @@ from latcover.catalog import (
     COVER_4_6,
     COVER_5_6,
     EXPECTED_COUNTS,
+    MAX_CATALOG_ENTRIES,
+    Catalog,
     LENGTH3_ENTRY,
     LENGTH4_ENTRIES,
     CatalogEntry,
@@ -91,6 +94,38 @@ def test_serialize_parse_roundtrip(catalog):
     again = parse(text)
     assert again.entries == catalog.entries
     assert serialize(again) == text
+
+
+def test_serialized_catalog_pinned(catalog):
+    text = serialize(catalog)
+    assert hashlib.sha256(text.encode()).hexdigest() == (
+        "ca43405bed5e6e6550854af9ef03e2f498e05bd447ccfa92726a2d1e36ed17b2"
+    )
+
+
+def test_parse_caps_the_entry_count(catalog):
+    # 19 copies of the catalog make 1,026 entries; the first past the cap
+    # is on line 1,001.
+    text = serialize(catalog)
+    assert len(parse(text * 18).entries) == 972 <= MAX_CATALOG_ENTRIES
+    with pytest.raises(ValueError, match="line 1001: more than 1000 catalog entries"):
+        parse(text * 19)
+
+
+def test_incomparability_detail_lists_ten_pairs(catalog):
+    def detail(cat):
+        (r,) = [r for r in verify_catalog(cat) if r.name == "entries-incomparable"]
+        return r.ok, r.detail
+
+    assert detail(catalog) == (True, "comparable pairs []")
+    # Each entry of a doubled catalog precedes its copy and is preceded by
+    # it: 108 comparable pairs, of which the first ten are listed.
+    ok, text = detail(Catalog(catalog.entries * 2))
+    assert not ok
+    assert text == (
+        "comparable pairs [(0, 54), (1, 55), (2, 56), (3, 57), (4, 58), "
+        "(5, 59), (6, 60), (7, 61), (8, 62), (9, 63)], 108 in all"
+    )
 
 
 def test_parse_reports_line_number():

@@ -10,6 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from latcover.catalog import serialize
 from latcover.cli import EX_USAGE, main
 from latcover.forms import MAX_BOX_RADIUS, MAX_DEGREE
 from latcover.mat2 import MAX_NUMBER_LENGTH
@@ -154,6 +155,19 @@ def test_verify_catalog_rejects_long_entries(capsys, tmp_path, n):
     assert code == 2
     assert out == ""
     assert err.startswith("error: line 1: ")
+
+
+def test_verify_catalog_rejects_too_many_entries(capsys, tmp_path, catalog):
+    # The incomparability check compares every pair of entries, so a
+    # catalog past the entry cap is a data error, raised while parsing.
+    big = tmp_path / "big.cat"
+    big.write_text(serialize(catalog) * 60)
+    start = time.perf_counter()
+    code, out, err = run(capsys, "verify-catalog", "--in", str(big))
+    assert time.perf_counter() - start < 5
+    assert code == 2
+    assert out == ""
+    assert err == "error: line 1001: more than 1000 catalog entries\n"
 
 
 def test_form_check(capsys):

@@ -263,10 +263,11 @@ def test_cover_memo_is_bounded():
     assert enumeration._cover_memo.cache_info().maxsize == enumeration._MEMO_SIZE
 
 
-def test_search_and_prune_test_2458_distinct_unions(monkeypatch):
+def test_search_tests_2209_distinct_unions_and_prune_none(monkeypatch):
     # The memo calls is_cover through the module global, so a wrapper
-    # there sees every miss; from a cold memo there is one per distinct
-    # union of rank-2 bases.
+    # there sees every miss; from a cold memo the search makes one per
+    # distinct union of rank-2 bases.  prune decides on forcing-point
+    # masks alone.
     calls = 0
     inner = enumeration.is_cover
 
@@ -277,6 +278,40 @@ def test_search_and_prune_test_2458_distinct_unions(monkeypatch):
 
     monkeypatch.setattr(enumeration, "is_cover", counted)
     enumeration._cover_memo.cache_clear()
-    pruned = {prune(t) for t in raw_solutions()}
-    assert len(pruned) == 101
-    assert calls == 2458
+    raw = raw_solutions()
+    assert calls == 2209
+    calls = 0
+    assert len({prune(t) for t in raw}) == 101
+    assert calls == 0
+
+
+def test_pruned_raw_solutions_pinned():
+    # The pruned form of each raw solution, in search order, as prune
+    # produced it while it still confirmed each drop with an exact test.
+    text = repr([tuple(s.gens for s in prune(t)) for t in raw_solutions()])
+    assert hashlib.sha256(text.encode()).hexdigest() == (
+        "43db3c82de3b94313fb86bd6d8f2a82fc0f2c1589d143ef7b16520a285e1be2e"
+    )
+
+
+def test_prune_rejects_more_than_six_slots():
+    with pytest.raises(ValueError, match="7 slots"):
+        prune(LENGTH3 + (ZERO,) * 4)
+
+
+def test_catalog_fails_on_a_wrong_prune_drop(monkeypatch):
+    # Dropping a slot of the length-3 candidate leaves two subgroups that
+    # do not cover.  No other candidate precedes them, so the minimality
+    # filter keeps them, and the exact test of canonical_entry rejects
+    # them.
+    inner = enumeration.prune
+
+    def drops_too_much(t):
+        out = inner(t)
+        if sum(1 for s in out if s.gens) == 3:
+            out = out[:2] + (ZERO,) * (len(out) - 2)
+        return out
+
+    monkeypatch.setattr(enumeration, "prune", drops_too_much)
+    with pytest.raises(ValueError, match="does not cover"):
+        generate_catalog()

@@ -277,6 +277,35 @@ def test_is_cover_period_is_exact(monkeypatch):
                 is_cover(tup)
 
 
+def test_is_cover_scans_rows_past_l(catalog):
+    # Rows 0 to l - 1, l the lcm of the b, lie in every period box and are
+    # scanned first; the rest of the box, up to wb = l * k, only once they
+    # are full.  Filling them does not suffice: {m | y} with the p cosets
+    # (p, 0), (c, 1) fills every row whose height is prime to p, so rows 0
+    # to m - 1, and misses row p.
+    for m, p in ((2, 3), (3, 5), (4, 7)):
+        tup = [Subgroup(((1, 0), (0, m)))] + [Subgroup(((p, 0), (c, 1))) for c in range(p)]
+        assert not is_cover(tup)
+        assert not _period_box_oracle(tup)
+    # Catalog entries, often with one member dropped, plus members that
+    # make k > 1, that is wb > l: covers and non-covers agree with the
+    # oracle.
+    rng = random.Random(20261020)
+    seen = {True: 0, False: 0}
+    while min(seen.values()) < 100:
+        tup = list(rng.choice(catalog.entries).lattices)
+        if rng.random() < 0.5:
+            del tup[rng.randrange(len(tup))]
+        tup += [_random_lattice(rng, 12) for _ in range(rng.randint(1, 2))]
+        la, lb = _period_box(tup)
+        wb = reduce(intersect, tup).gens[1][1]
+        if wb == math.lcm(*(s.gens[1][1] for s in tup)) or la * lb > 10**4:
+            continue
+        got = is_cover(tup)
+        assert got == _period_box_oracle(tup), tup
+        seen[got] += 1
+
+
 def test_is_cover_keeps_no_module_state():
     def sizes():
         out = {}
