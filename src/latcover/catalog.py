@@ -8,7 +8,13 @@ import math
 import re
 from dataclasses import dataclass
 
-from .enumeration import SLOTS, CoveringTuple, enumerate_minimal_coverings, precedes
+from .enumeration import (
+    SLOTS,
+    CoveringTuple,
+    enumerate_minimal_coverings,
+    possible_predecessors,
+    precedes,
+)
 from .lattices import Subgroup, ZERO, canonicalize, density_sum, index, is_cover
 from .mat2 import MAX_NUMBER_LENGTH
 
@@ -16,8 +22,9 @@ from .mat2 import MAX_NUMBER_LENGTH
 EXPECTED_COUNTS = {3: 1, 4: 4, 5: 9, 6: 40}
 
 #: Most entries :func:`parse` accepts.  The incomparability check of
-#: :func:`verify_catalog` compares all ordered pairs of entries, so its
-#: cost grows with the square of the count; the real catalog has 54.
+#: :func:`verify_catalog` looks at all ordered pairs of entries and of
+#: their distinct subgroups, so its cost grows with the square of the
+#: count; the real catalog has 54.
 MAX_CATALOG_ENTRIES = 1000
 
 #: Most comparable pairs the incomparability check lists in its detail.
@@ -220,7 +227,13 @@ def _pad(entry: CatalogEntry) -> CoveringTuple:
 
 
 def verify_catalog(catalog: Catalog) -> list[CheckResult]:
-    """Run every per-length structural check against the catalog."""
+    """Run every per-length structural check against the catalog.
+
+    The incomparability check runs the exact :func:`precedes` test only
+    on the ordered pairs of entries that
+    :func:`~latcover.enumeration.possible_predecessors` lists, a superset
+    of the comparable pairs: 150 of the 2,862 pairs of the real catalog.
+    """
     results: list[CheckResult] = []
 
     def check(name: str, ok: bool, detail: str = ""):
@@ -283,12 +296,13 @@ def verify_catalog(catalog: Catalog) -> list[CheckResult]:
         all(1 < density_sum(e.lattices) <= 6 for e in catalog.entries),
     )
 
-    comparable = [
+    padded = [_pad(e) for e in catalog.entries]
+    comparable = sorted(
         (i, j)
-        for i, a in enumerate(catalog.entries)
-        for j, b in enumerate(catalog.entries)
-        if i != j and precedes(_pad(a), _pad(b))
-    ]
+        for j, listed in enumerate(possible_predecessors(padded))
+        for i in listed
+        if i != j and precedes(padded[i], padded[j])
+    )
     check(
         "entries-incomparable",
         not comparable,

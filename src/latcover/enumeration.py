@@ -7,15 +7,18 @@ breaks slot-permutation symmetry) and the search recurses.  Recorded
 tuples cover Z^2; pruning and a partial-order filter then reduce them to
 the minimal coverings.
 
-The search keeps, for each subgroup, the bit mask of the forcing points it
-contains, so the union's mask is an OR of slot masks.  A union that misses
-a forcing point is not all of Z^2, so the exact covering test
-:func:`~latcover.lattices.is_cover` only runs on tuples whose mask is full.
-Those tests go through a bounded memo keyed by the sorted rank-2 bases:
-the search tests 2,209 distinct tuples, all of them covers.
-:func:`prune` runs no exact test; it decides on the masks alone.  The
-memos are keyed by basis tuples, not by :class:`Subgroup` objects, so
-that hashing and comparing the keys runs in C.
+Each search works on its own :class:`Search` tables, in which the 185
+subgroups it reaches are interned as small ints, so slot tuples, steps
+and memo keys are ints and int tuples.  Every id carries the bit mask of
+the forcing points its subgroup contains, so the union's mask is an OR of
+slot masks.  A union that misses a forcing point is not all of Z^2, so the
+exact covering test :func:`~latcover.lattices.is_cover` only runs on
+tuples whose mask is full, once per distinct multiset of rank-2 slots: the
+search tests 2,209 of them, all covers.  The tables are dropped when the
+search returns; only the forcing-point masks, memoized by basis, outlive
+it.  :func:`prune` runs no exact test; it decides on the masks alone.
+:func:`possible_predecessors` narrows the minimality filter's exact
+:func:`precedes` tests to the pairs a containment bitset allows.
 """
 
 from __future__ import annotations
@@ -24,6 +27,7 @@ from functools import lru_cache
 
 from .lattices import (
     FULL,
+    INDEX_INFINITE,
     ZERO,
     Subgroup,
     adjoin,
@@ -69,10 +73,9 @@ class ForcingListExhausted(RuntimeError):
 #: The mask of a union that contains every forcing point.
 _FULL_MASK = (1 << len(FORCING_POINTS)) - 1
 
-#: Size of each of the three memos below.  The search reaches 185
-#: distinct subgroups, takes 1,348 distinct (subgroup, point) steps and
-#: tests 2,209 distinct tuples, so all fit with room to spare, and other
-#: callers cannot grow them further.
+#: Size of the forcing-point mask memo.  The search reaches 185 distinct
+#: subgroups, so they fit with room to spare, and other callers of
+#: :func:`prune` cannot grow the memo further.
 _MEMO_SIZE = 4096
 
 
@@ -88,43 +91,80 @@ def _mask(gens: tuple) -> int:
     return bits
 
 
-@lru_cache(maxsize=_MEMO_SIZE)
-def _step(gens: tuple, point_index: int) -> Subgroup | None:
-    """The subgroup with basis ``gens`` enlarged by the forcing point
-    ``point_index``, or None if the enlargement is all of Z^2."""
-    enlarged = adjoin(Subgroup(gens), FORCING_POINTS[point_index])
-    return None if enlarged.gens == FULL.gens else enlarged
+class Search:
+    """The tables of one forcing search, on subgroups interned as ints.
 
-
-@lru_cache(maxsize=_MEMO_SIZE)
-def _cover_memo(key: tuple) -> bool:
-    """:func:`is_cover` of the subgroups with the rank-2 bases ``key``.
-
-    Calls ``is_cover`` through the module global, so a wrapper installed
-    there sees every miss.
+    ``subgroups[i]`` is the subgroup with id i and ``masks[i]`` its
+    forcing-point mask; id 0 is the zero subgroup.  ``steps`` maps
+    ``i * len(FORCING_POINTS) + p`` to the id of subgroup i enlarged by
+    forcing point p, or to -1 when that is all of Z^2.  ``verdicts`` maps
+    the sorted ids of a tuple's rank-2 slots to its :func:`is_cover`
+    verdict.
     """
-    return is_cover([Subgroup(gens) for gens in key])
+
+    def __init__(self):
+        self.subgroups: list[Subgroup] = []
+        self.masks: list[int] = []
+        self.rank2: list[bool] = []
+        self.steps: dict[int, int] = {}
+        self.verdicts: dict[tuple[int, ...], bool] = {}
+        self._ids: dict[tuple, int] = {}
+        self.intern(ZERO)
+
+    def intern(self, s: Subgroup) -> int:
+        """The id of ``s``, new if ``s`` was not seen before."""
+        i = self._ids.get(s.gens)
+        if i is None:
+            i = self._ids[s.gens] = len(self.subgroups)
+            self.subgroups.append(s)
+            self.masks.append(_mask(s.gens))
+            self.rank2.append(s.rank == 2)
+        return i
+
+    def ids(self, t: CoveringTuple) -> tuple[int, ...]:
+        """The ids of the slots of ``t``, interning new subgroups."""
+        return tuple(map(self.intern, t))
+
+    def tuple_of(self, ids) -> CoveringTuple:
+        """The subgroups with the given ids, as a tuple."""
+        return tuple(map(self.subgroups.__getitem__, ids))
+
+    def enlarge(self, i: int, point_index: int) -> int:
+        """Fill in ``steps`` for subgroup ``i`` and a forcing point."""
+        enlarged = adjoin(self.subgroups[i], FORCING_POINTS[point_index])
+        j = -1 if enlarged.gens == FULL.gens else self.intern(enlarged)
+        self.steps[i * len(FORCING_POINTS) + point_index] = j
+        return j
+
+    def covers(self, ids) -> bool:
+        """Memoized :func:`is_cover` of a tuple of ids.
+
+        Calls ``is_cover`` through the module global, so a wrapper
+        installed there sees every miss.
+        """
+        rank2 = self.rank2
+        key = tuple(sorted([i for i in ids if rank2[i]]))
+        verdict = self.verdicts.get(key)
+        if verdict is None:
+            verdict = self.verdicts[key] = is_cover(self.tuple_of(key))
+        return verdict
 
 
-def _covers(slots) -> bool:
-    """Memoized :func:`is_cover`, keyed by the sorted rank-2 bases."""
-    return _cover_memo(tuple(sorted(s.gens for s in slots if len(s.gens) == 2)))
-
-
-def _children(slots: CoveringTuple, point_index: int):
-    """One search step from ``slots``.
+def _children(search: Search, slots: tuple[int, ...], point_index: int):
+    """One search step from the tuple of ids ``slots``.
 
     Finds the first forcing point from ``point_index`` on that the union
     misses, as the lowest clear bit of the OR of the slot masks, then
-    adjoins it to each slot in turn, up to the first rank-0 slot, leaving
-    out enlargements that are all of Z^2.  Yields
+    adjoins it to each slot in turn, up to the first zero slot, leaving
+    out enlargements that are all of Z^2.  Returns a list of
     ``(child, covers, next_index)`` in slot order.  ``covers`` is the
     exact :func:`is_cover` verdict, which is only computed when the
     child's union contains every forcing point: otherwise it is False.
     """
+    masks = search.masks
     covered = 0
-    for s in slots:
-        covered |= _mask(s.gens)
+    for i in slots:
+        covered |= masks[i]
     missed = (_FULL_MASK & ~covered) >> point_index
     if not missed:
         raise ForcingListExhausted(
@@ -132,33 +172,35 @@ def _children(slots: CoveringTuple, point_index: int):
         )
     point_index += (missed & -missed).bit_length() - 1
 
-    last_slot = 0
-    while slots[last_slot].gens and last_slot < SLOTS - 1:
-        last_slot += 1
+    last_slot = slots.index(0) if 0 in slots else len(slots) - 1
+    steps, row = search.steps, len(FORCING_POINTS)
+    children = []
+    for k in range(last_slot + 1):
+        i = slots[k]
+        j = steps.get(i * row + point_index)
+        if j is None:
+            j = search.enlarge(i, point_index)
+        if j >= 0:
+            child = slots[:k] + (j,) + slots[k + 1:]
+            full = (covered | masks[j]) == _FULL_MASK
+            children.append((child, full and search.covers(child), point_index + 1))
+    return children
 
-    work = list(slots)
-    for i in range(last_slot + 1):
-        enlarged = _step(slots[i].gens, point_index)
-        if enlarged is not None:
-            work[i] = enlarged
-            child = tuple(work)
-            full = (covered | _mask(enlarged.gens)) == _FULL_MASK
-            yield child, full and _covers(child), point_index + 1
-            work[i] = slots[i]
 
-
-def find_lattices(slots: CoveringTuple, point_index: int) -> list[CoveringTuple]:
-    """Every covering tuple found below the node ``slots``.
+def find_lattices(
+    search: Search, slots: tuple[int, ...], point_index: int
+) -> list[tuple[int, ...]]:
+    """Every covering tuple of ids found below the node ``slots``.
 
     The traversal order is fixed: depth first, children in the order
-    :func:`_children` yields them.
+    :func:`_children` lists them.
     """
-    solutions: list[CoveringTuple] = []
-    for child, covers, next_index in _children(slots, point_index):
+    solutions: list[tuple[int, ...]] = []
+    for child, covers, next_index in _children(search, slots, point_index):
         if covers:
             solutions.append(child)
         else:
-            solutions.extend(find_lattices(child, next_index))
+            solutions.extend(find_lattices(search, child, next_index))
     return solutions
 
 
@@ -185,18 +227,28 @@ def prune(t: CoveringTuple) -> CoveringTuple:
     """
     if len(t) > SLOTS:
         raise ValueError(f"{len(t)} slots, more than {SLOTS}")
-    slots = list(t)
-    masks = [_mask(s.gens) for s in slots]
-    for i in range(len(slots)):
-        rest = 0
-        for j, m in enumerate(masks):
-            if j != i:
-                rest |= m
-        if rest == _FULL_MASK:
-            slots[i] = ZERO
-            masks[i] = 0
-    kept = sorted((s for s in slots if s.rank != 0), key=lambda s: (index(s), s.gens))
+    masks = [_mask(s.gens) for s in t]
+    # after[i] is the OR of the masks of slots i + 1 on, none dropped yet;
+    # before is the OR of the masks of the slots kept so far.
+    after = [0] * len(t)
+    for i in range(len(t) - 1, 0, -1):
+        after[i - 1] = after[i] | masks[i]
+    before = 0
+    kept = []
+    for s, m, rest in zip(t, masks, after):
+        if before | rest != _FULL_MASK:
+            before |= m
+            if s.gens:
+                kept.append(s)
+    kept.sort(key=_slot_key)
     return tuple(kept) + (ZERO,) * (len(t) - len(kept))
+
+
+def _slot_key(s: Subgroup):
+    """(index, basis) of a nonzero subgroup; the index is computed inline
+    for rank 2, as :func:`~latcover.lattices.index` would."""
+    g = s.gens
+    return (g[0][0] * g[1][1] if len(g) == 2 else INDEX_INFINITE, g)
 
 
 def precedes(a: CoveringTuple, b: CoveringTuple) -> bool:
@@ -243,25 +295,71 @@ def _canonical_sort_key(t: CoveringTuple):
     return tuple(sorted((index(s) if s.rank == 2 else 0, s.gens) for s in t))
 
 
+def possible_predecessors(tuples) -> list[list[int]]:
+    """For each tuple c of ``tuples``, the positions of the tuples o whose
+    nonzero slots each lie inside some slot of c, c's own included.
+
+    Each slot of o that :func:`precedes` matches is inside a slot of c,
+    and a nonzero slot is inside no zero slot, so every o with
+    ``precedes(o, c)`` is listed for c; the exact test decides the rest.
+    Costs one :func:`~latcover.lattices.is_subgroup_of` per ordered pair
+    of the distinct nonzero subgroups, then two ints per tuple: the bits
+    of its slots, and the bits of the subgroups inside one of them.
+    Tuples are told apart by position, since a list may hold one tuple
+    object twice.
+    """
+    distinct: dict[tuple, Subgroup] = {}
+    for t in tuples:
+        for s in t:
+            if s.gens:
+                distinct.setdefault(s.gens, s)
+    bit = {gens: 1 << k for k, gens in enumerate(distinct)}
+    inside = {
+        gens: sum(bit[u.gens] for u in distinct.values() if is_subgroup_of(u, s))
+        for gens, s in distinct.items()
+    }
+    own, reach = [], []
+    for t in tuples:
+        o = r = 0
+        for s in t:
+            if s.gens:
+                o |= bit[s.gens]
+                r |= inside[s.gens]
+        own.append(o)
+        reach.append(r)
+    return [[i for i, o in enumerate(own) if not o & ~r] for r in reach]
+
+
 def _subtree(task: tuple[CoveringTuple, int]) -> list[CoveringTuple]:
-    return find_lattices(*task)
+    """Every covering tuple found below a node, searched on new tables."""
+    slots, point_index = task
+    search = Search()
+    return [
+        search.tuple_of(t)
+        for t in find_lattices(search, search.ids(slots), point_index)
+    ]
 
 
 def _expand_frontier(min_tasks: int):
     """Breadth-first expansion of the search root into independent tasks.
 
-    Returns (solutions found so far, open tasks).  Used to fan the search
-    out over worker processes.
+    Returns (solutions found so far, open tasks), as subgroup tuples.
+    Used to fan the search out over worker processes, each of which
+    interns the subgroups of its tasks anew.
     """
-    solutions: list[CoveringTuple] = []
-    tasks: list[tuple[CoveringTuple, int]] = [(EMPTY_TUPLE, 0)]
+    search = Search()
+    solutions: list[tuple[int, ...]] = []
+    tasks: list[tuple[tuple[int, ...], int]] = [(search.ids(EMPTY_TUPLE), 0)]
     while tasks and len(tasks) < min_tasks:
-        for child, covers, next_index in _children(*tasks.pop(0)):
+        for child, covers, next_index in _children(search, *tasks.pop(0)):
             if covers:
                 solutions.append(child)
             else:
                 tasks.append((child, next_index))
-    return solutions, tasks
+    return (
+        [search.tuple_of(t) for t in solutions],
+        [(search.tuple_of(t), p) for t, p in tasks],
+    )
 
 
 def raw_solutions(workers: int = 1) -> list[CoveringTuple]:
@@ -271,7 +369,7 @@ def raw_solutions(workers: int = 1) -> list[CoveringTuple]:
     the combined list is identical to the sequential one up to order.
     """
     if workers <= 1:
-        return find_lattices(EMPTY_TUPLE, 0)
+        return _subtree((EMPTY_TUPLE, 0))
     from concurrent.futures import ProcessPoolExecutor
 
     head, tasks = _expand_frontier(8 * workers)
@@ -287,12 +385,15 @@ def enumerate_minimal_coverings() -> list[CoveringTuple]:
     Prunes every raw solution to its normal form, so that raw solutions
     differing only in slot order meet in one set element; sorts the
     distinct candidates, then keeps only those not preceded by another
-    candidate.  The outcome does not depend on the traversal order.
+    candidate.  Only the candidates :func:`possible_predecessors` lists
+    get the exact :func:`precedes` test.  The outcome does not depend on
+    the traversal order.
     """
     candidates = sorted(
         {prune(t) for t in raw_solutions()}, key=_canonical_sort_key
     )
+    listed = possible_predecessors(candidates)
     return [
-        c for c in candidates
-        if not any(o is not c and precedes(o, c) for o in candidates)
+        c for i, c in enumerate(candidates)
+        if not any(j != i and precedes(candidates[j], c) for j in listed[i])
     ]

@@ -66,11 +66,26 @@ def divides(a: int, b: int) -> bool:
     return ((a | GUARD) - b) & GUARD == GUARD
 
 
+#: The even fields 0, 2, 4, 6 of a packed monomial, 18 bits apart, and
+#: the repunit that sums them: in the product, the 18 bits from field
+#: 6's position on hold the sum of the four, at most 4 * MAX_EXP < 2**18,
+#: and no carry from the lower partial sums reaches them.  ``lcm`` sums
+#: the odd fields the same way after a shift by one field.
+_EVEN_FIELDS = sum(MAX_EXP << s for s in _SHIFTS[::2])
+_REPUNIT_18 = sum(1 << s for s in _SHIFTS[::2])
+_SUM_SHIFT = _SHIFTS[-2]
+_SUM_MASK = (1 << 18) - 1
+
+
 def lcm(a: int, b: int) -> int:
     ge = ((a | GUARD) - b) & GUARD
     take_b = ge - (ge >> 8)  # ones in the fields where a's exponent is smaller
     f = b & take_b | a & (FIELDS ^ take_b)
-    return sum(MAX_EXP - (f >> s & MAX_EXP) for s in _SHIFTS) << _DEG_SHIFT | f
+    fields = (
+        ((f & _EVEN_FIELDS) * _REPUNIT_18 >> _SUM_SHIFT & _SUM_MASK)
+        + ((f >> 9 & _EVEN_FIELDS) * _REPUNIT_18 >> _SUM_SHIFT & _SUM_MASK)
+    )
+    return (NVARS * MAX_EXP - fields) << _DEG_SHIFT | f
 
 
 def pack_poly(p: Poly) -> PackedPoly:

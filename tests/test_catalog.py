@@ -1,10 +1,13 @@
 import hashlib
 import math
+from collections import Counter
 
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from latcover import catalog as catalog_module
+from latcover import enumeration
 from latcover.catalog import (
     COVER_4_6,
     COVER_5_6,
@@ -17,6 +20,7 @@ from latcover.catalog import (
     canonical_entry,
     column_form,
     entry_from_texts,
+    generate_catalog,
     parse,
     parse_subgroup,
     serialize,
@@ -126,6 +130,27 @@ def test_incomparability_detail_lists_ten_pairs(catalog):
         "comparable pairs [(0, 54), (1, 55), (2, 56), (3, 57), (4, 58), "
         "(5, 59), (6, 60), (7, 61), (8, 62), (9, 63)], 108 in all"
     )
+
+
+def test_precedes_runs_only_on_prefiltered_pairs(monkeypatch, catalog):
+    # Counted through the module globals that generate_catalog and
+    # verify_catalog call: the containment bitset leaves 197 exact tests
+    # of the 8,015 the minimality filter made over all pairs, and 150 of
+    # the 2,862 pairs of distinct catalog entries.
+    calls = Counter()
+    inner = enumeration.precedes
+
+    def counted(a, b):
+        calls["precedes"] += 1
+        return inner(a, b)
+
+    monkeypatch.setattr(enumeration, "precedes", counted)
+    monkeypatch.setattr(catalog_module, "precedes", counted)
+    assert generate_catalog().entries == catalog.entries
+    assert calls["precedes"] == 197
+    calls.clear()
+    verify_catalog(catalog)
+    assert calls["precedes"] == 150
 
 
 def test_parse_reports_line_number():

@@ -17,6 +17,7 @@ from latcover.enumeration import (
     ForcingListExhausted,
     enumerate_minimal_coverings,
     find_lattices,
+    possible_predecessors,
     precedes,
     prune,
     raw_solutions,
@@ -184,6 +185,41 @@ def test_precedes_matches_permutation_search(pair):
     assert precedes(a, b) == _precedes_by_permutations(a, b)
 
 
+@given(_tuple_pairs())
+def test_possible_predecessors_lists_every_predecessor(pair):
+    a, b = pair
+    listed = possible_predecessors([a, b])
+    assert 1 in listed[1] and 0 in listed[0]
+    if precedes(a, b):
+        assert 0 in listed[1]
+    if precedes(b, a):
+        assert 1 in listed[0]
+
+
+def _all_pairs_minimal(candidates):
+    return [
+        c for i, c in enumerate(candidates)
+        if not any(j != i and precedes(o, c) for j, o in enumerate(candidates))
+    ]
+
+
+def test_prefilter_is_sound_on_candidates_and_doubled_catalog(catalog):
+    candidates = sorted(
+        {prune(t) for t in raw_solutions()}, key=enumeration._canonical_sort_key
+    )
+    assert len(candidates) == 101
+    # A length-6 entry pads to its own tuple object, so the doubled
+    # catalog holds each such object twice: positions tell them apart.
+    padded = [e.lattices + (ZERO,) * (SLOTS - e.length) for e in catalog.entries]
+    for tuples in (candidates, padded * 2):
+        listed = possible_predecessors(tuples)
+        for j, c in enumerate(tuples):
+            for i, o in enumerate(tuples):
+                if precedes(o, c):
+                    assert i in listed[j]
+    assert enumerate_minimal_coverings() == _all_pairs_minimal(candidates)
+
+
 def test_minimal_coverings_counts(catalog):
     tuples = enumerate_minimal_coverings()
     assert len(tuples) == 54
@@ -209,8 +245,11 @@ def test_raw_solutions_keeps_recursion_limit():
 
 
 def test_recursion_entry_point():
-    sols = find_lattices(EMPTY_TUPLE, 0)
+    # find_lattices works on ids interned in the search's own tables.
+    search = enumeration.Search()
+    sols = find_lattices(search, search.ids(EMPTY_TUPLE), 0)
     assert len(sols) == 6131
+    assert [search.tuple_of(t) for t in sols] == raw_solutions()
 
 
 def test_raw_solutions_pinned_in_order():
@@ -227,10 +266,10 @@ def test_search_visits_6178_nodes(monkeypatch):
     calls = 0
     inner = enumeration.find_lattices
 
-    def counted(slots, point_index):
+    def counted(search, slots, point_index):
         nonlocal calls
         calls += 1
-        return inner(slots, point_index)
+        return inner(search, slots, point_index)
 
     monkeypatch.setattr(enumeration, "find_lattices", counted)
     assert len(raw_solutions()) == 6131
@@ -238,8 +277,9 @@ def test_search_visits_6178_nodes(monkeypatch):
 
 
 def test_search_past_forcing_list_raises():
+    search = enumeration.Search()
     with pytest.raises(ForcingListExhausted):
-        find_lattices(EMPTY_TUPLE, len(FORCING_POINTS))
+        find_lattices(search, search.ids(EMPTY_TUPLE), len(FORCING_POINTS))
 
 
 @pytest.mark.parametrize("kept", [40, 80])
@@ -250,39 +290,46 @@ def test_catalog_fails_on_a_forcing_list_that_does_not_force(monkeypatch, kept):
     monkeypatch.setattr(enumeration, "FORCING_POINTS", FORCING_POINTS[:kept])
     monkeypatch.setattr(enumeration, "_FULL_MASK", (1 << kept) - 1)
     enumeration._mask.cache_clear()
-    enumeration._step.cache_clear()
     try:
         with pytest.raises(ForcingListExhausted):
             generate_catalog()
     finally:
         enumeration._mask.cache_clear()
-        enumeration._step.cache_clear()
 
 
-def test_cover_memo_is_bounded():
-    assert enumeration._cover_memo.cache_info().maxsize == enumeration._MEMO_SIZE
+def _count_is_cover(monkeypatch) -> Counter:
+    """Count the calls of enumeration's by-name ``is_cover``."""
+    calls = Counter()
+    inner = enumeration.is_cover
+
+    def counted(subgroups):
+        calls["is_cover"] += 1
+        return inner(subgroups)
+
+    monkeypatch.setattr(enumeration, "is_cover", counted)
+    return calls
+
+
+def test_each_search_starts_a_new_cover_memo(monkeypatch):
+    # The cover memo lives for one raw_solutions call, so a second call
+    # tests the same unions again: nothing is left in a process-wide memo.
+    calls = _count_is_cover(monkeypatch)
+    for _ in range(2):
+        calls.clear()
+        raw_solutions()
+        assert calls["is_cover"] == 2209
 
 
 def test_search_tests_2209_distinct_unions_and_prune_none(monkeypatch):
     # The memo calls is_cover through the module global, so a wrapper
-    # there sees every miss; from a cold memo the search makes one per
-    # distinct union of rank-2 bases.  prune decides on forcing-point
-    # masks alone.
-    calls = 0
-    inner = enumeration.is_cover
-
-    def counted(subgroups):
-        nonlocal calls
-        calls += 1
-        return inner(subgroups)
-
-    monkeypatch.setattr(enumeration, "is_cover", counted)
-    enumeration._cover_memo.cache_clear()
+    # there sees every miss; the search makes one per distinct union of
+    # rank-2 bases.  prune decides on forcing-point masks alone.
+    calls = _count_is_cover(monkeypatch)
     raw = raw_solutions()
-    assert calls == 2209
-    calls = 0
+    assert calls["is_cover"] == 2209
+    calls.clear()
     assert len({prune(t) for t in raw}) == 101
-    assert calls == 0
+    assert calls["is_cover"] == 0
 
 
 def test_pruned_raw_solutions_pinned():

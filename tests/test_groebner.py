@@ -3,7 +3,7 @@ import itertools
 import math
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from latcover import groebner, poly
@@ -133,6 +133,30 @@ def test_packed_divides_and_lcm_match_exponents(a, b):
     pa, pb = poly.pack(a), poly.pack(b)
     assert poly.divides(pa, pb) == all(x <= y for x, y in zip(a, b))
     assert poly.lcm(pa, pb) == poly.pack(tuple(map(max, a, b)))
+
+
+def _lcm_by_unpacking(a: int, b: int) -> int:
+    """Reference lcm: the field-wise maximum, with the degree summed over
+    the unpacked exponents."""
+    ge = ((a | poly.GUARD) - b) & poly.GUARD
+    take_b = ge - (ge >> 8)
+    f = b & take_b | a & (poly.FIELDS ^ take_b)
+    return sum(poly.unpack(f)) << poly._DEG_SHIFT | f
+
+
+#: Exponent vectors that often hold the extreme exponents 0 and MAX_EXP.
+extreme_monomials = st.tuples(*(
+    st.sampled_from((0, poly.MAX_EXP)) | st.integers(0, poly.MAX_EXP)
+    for _ in range(poly.NVARS)
+))
+
+
+@given(extreme_monomials | monomials, extreme_monomials | monomials)
+@example((0,) * poly.NVARS, (poly.MAX_EXP,) * poly.NVARS)
+@example((poly.MAX_EXP, 0) * (poly.NVARS // 2), (0, poly.MAX_EXP) * (poly.NVARS // 2))
+def test_lcm_degree_matches_unpacked_sum(a, b):
+    pa, pb = poly.pack(a), poly.pack(b)
+    assert poly.lcm(pa, pb) == _lcm_by_unpacking(pa, pb)
 
 
 def test_pack_rejects_exponents_outside_fields():
