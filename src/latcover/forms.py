@@ -8,6 +8,7 @@ sum c_i X^(d-i) Y^i.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -63,21 +64,25 @@ class BinaryForm:
 F0 = BinaryForm.of(0, 1, 1, 0)  # X*Y*(X + Y)
 
 
+def _row(coeffs, x) -> list:
+    """The coefficients c_i * x^(d-i) of F(x, Y), highest power of Y first."""
+    return [c * x**k for k, c in enumerate(reversed(coeffs))]
+
+
 def evaluate(f: BinaryForm, x, y) -> int | Fraction:
-    """F(x, y) for integers or fractions x, y, by Horner's rule in x.
+    """F(x, y) for integers or fractions x, y: the coefficients of
+    F(x, Y) in Y, then Horner's rule in y.
 
     The result is an ``int`` when the coefficients and x, y are all
     ``int``, and a ``Fraction`` otherwise."""
-    acc = f.coeffs[0]
-    ypow = 1
-    for c in f.coeffs[1:]:
-        ypow *= y
-        acc = acc * x + c * ypow
+    acc, *rest = _row(f.coeffs, x)
+    for r in rest:
+        acc = acc * y + r
     return acc
 
 
-def _poly_mul(p: list[Fraction], q: list[Fraction]) -> list[Fraction]:
-    out = [Fraction(0)] * (len(p) + len(q) - 1)
+def _poly_mul(p: list[int], q: list[int]) -> list[int]:
+    out = [0] * (len(p) + len(q) - 1)
     for i, a in enumerate(p):
         for j, b in enumerate(q):
             out[i + j] += a * b
@@ -85,24 +90,29 @@ def _poly_mul(p: list[Fraction], q: list[Fraction]) -> list[Fraction]:
 
 
 def compose(f: BinaryForm, gamma: RatMat2) -> BinaryForm:
-    """(F o gamma)(X, Y) = F(a X + b Y, c X + d Y), exactly."""
+    """(F o gamma)(X, Y) = F(a X + b Y, c X + d Y), exactly: E*F composed
+    with D*gamma on ints, E and D the lcms of their denominators, then
+    divided by E * D^d."""
     d = f.degree
+    e_den = math.lcm(*(c.denominator for c in f.coeffs))
+    d_den = math.lcm(*(v.denominator for v in gamma.entries()))
+    coeffs = [int(c * e_den) for c in f.coeffs]
+    a, b, c, dd = (int(v * d_den) for v in gamma.entries())
     # Powers of the two linear substitutes, as coefficient lists in Y.
-    row1 = [Fraction(gamma.a), Fraction(gamma.b)]
-    row2 = [Fraction(gamma.c), Fraction(gamma.d)]
-    pow1 = [[Fraction(1)]]
-    pow2 = [[Fraction(1)]]
+    pow1 = [[1]]
+    pow2 = [[1]]
     for _ in range(d):
-        pow1.append(_poly_mul(pow1[-1], row1))
-        pow2.append(_poly_mul(pow2[-1], row2))
-    out = [Fraction(0)] * (d + 1)
-    for i, c in enumerate(f.coeffs):
-        if not c:
+        pow1.append(_poly_mul(pow1[-1], [a, b]))
+        pow2.append(_poly_mul(pow2[-1], [c, dd]))
+    out = [0] * (d + 1)
+    for i, k in enumerate(coeffs):
+        if not k:
             continue
         term = _poly_mul(pow1[d - i], pow2[i])
         for j, v in enumerate(term):
-            out[j] += c * v
-    return BinaryForm(tuple(out))
+            out[j] += k * v
+    scale = e_den * d_den**d
+    return BinaryForm(tuple(Fraction(v, scale) for v in out))
 
 
 def is_automorphism(f: BinaryForm, gamma: RatMat2) -> bool:
@@ -322,9 +332,14 @@ def _box_values(f: BinaryForm, radius: int) -> dict[int, tuple[int, int]]:
     """Each value of ``f`` on the box |x|, |y| <= radius, with the first
     point in (x, y) scan order that takes it."""
     values: dict[int, tuple[int, int]] = {}
-    for x in range(-radius, radius + 1):
-        for y in range(-radius, radius + 1):
-            values.setdefault(evaluate(f, x, y), (x, y))
+    box = range(-radius, radius + 1)
+    for x in box:
+        top, *rest = _row(f.coeffs, x)
+        for y in box:
+            acc = top
+            for r in rest:
+                acc = acc * y + r
+            values.setdefault(acc, (x, y))
     return values
 
 

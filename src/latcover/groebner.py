@@ -323,14 +323,15 @@ def has_common_zero_mod7(system_elements, kind: str) -> bool:
     else:
         raise ValueError(f"unknown system kind {kind!r}")
     # The nonzero tuples whose first nonzero entry is 1.
-    projective = (
+    candidates = [
         (0,) * k + (1,) + rest
         for k in range(4)
         for rest in itertools.product(range(7), repeat=3 - k)
-    )
-    for t in projective:
-        if kind == "triple" and not ((t[0] or t[2]) and (t[1] or t[3])):
-            continue
-        if all(poly.evaluate(q, t) % 7 == 0 for q in polys):
-            return True
-    return False
+    ]
+    if kind == "triple":
+        candidates = [t for t in candidates if (t[0] or t[2]) and (t[1] or t[3])]
+    # Keep the common zeros of the polynomials seen so far.
+    for q in polys:
+        terms = poly.expand(q)
+        candidates = [t for t in candidates if poly.evaluate_terms(terms, t) % 7 == 0]
+    return bool(candidates)

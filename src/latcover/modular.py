@@ -16,7 +16,7 @@ import math
 from dataclasses import dataclass, field
 
 from .groebner import COEFF_POLYS, ELEMENT_NAMES
-from .poly import evaluate
+from .poly import evaluate_terms, expand
 
 #: Exceptional residue tuples mod 3: all five non-identity coefficient
 #: pairs vanish exactly on these.
@@ -34,13 +34,17 @@ TRIPLE_VANISHING_TUPLES = (
 )
 
 
+#: The first-row polynomials (top1, top2) of the five non-identity
+#: elements in ``ELEMENT_NAMES`` order, expanded once for evaluation.
+_TOP_TERMS = tuple(
+    (expand(COEFF_POLYS[e][0]), expand(COEFF_POLYS[e][1])) for e in ELEMENT_NAMES
+)
+
+
 def _top_rows(t):
     """The first-row coefficient pairs (top1, top2) of the five
     non-identity elements at ``t``, in ``ELEMENT_NAMES`` order."""
-    return [
-        (evaluate(COEFF_POLYS[e][0], t), evaluate(COEFF_POLYS[e][1], t))
-        for e in ELEMENT_NAMES
-    ]
+    return [(evaluate_terms(a, t), evaluate_terms(b, t)) for a, b in _TOP_TERMS]
 
 
 def top_pairs(t, n: int):
@@ -55,26 +59,22 @@ def class_count(pairs, n: int) -> int:
     among the full-order ones.
 
     A pair counts as low-order when both coordinates share a factor with
-    the modulus; otherwise it opens a new class unless a unit multiple of
-    it appeared earlier in the list.
+    the modulus.  Two full-order pairs share a class when one is a unit
+    multiple of the other mod n; a class is named by its least member,
+    ``min((k*p % n, k*q % n) for k in units)``.  Scaling by a unit keeps
+    the gcd of each coordinate with n, so no full-order pair is a unit
+    multiple of a low-order one, and this is the count of pairs that are
+    low-order or not a unit multiple of an earlier pair in the list.
     """
-    total = 0
-    for i, (p, q) in enumerate(pairs):
+    units = [k for k in range(n) if math.gcd(k, n) == 1]
+    low = 0
+    keys = set()
+    for p, q in pairs:
         if math.gcd(p, n) != 1 and math.gcd(q, n) != 1:
-            total += 1
-            continue
-        fresh = True
-        for j in range(i):
-            for k in range(n):
-                if (
-                    math.gcd(k, n) == 1
-                    and k * p % n == pairs[j][0] % n
-                    and k * q % n == pairs[j][1] % n
-                ):
-                    fresh = False
-        if fresh:
-            total += 1
-    return total
+            low += 1
+        else:
+            keys.add(min([(k * p % n, k * q % n) for k in units]))
+    return low + len(keys)
 
 
 def low_order_count(pairs, n: int) -> int:

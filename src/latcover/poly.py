@@ -143,17 +143,31 @@ def mul(p: Poly, q: Poly) -> Poly:
     return out
 
 
+def expand(p: Poly) -> tuple[tuple[int, tuple[int, ...]], ...]:
+    """``p`` as (coeff, variable indices) terms, one index per unit of
+    degree: t1*t2^2 becomes (c, (0, 1, 1)).  Evaluate with
+    :func:`evaluate_terms`."""
+    return tuple(
+        (c, tuple(i for i, e in enumerate(m) for _ in range(e)))
+        for m, c in p.items()
+    )
+
+
+def evaluate_terms(terms, point) -> int:
+    """The value at ``point`` of the :func:`expand` terms ``terms``."""
+    total = 0
+    for c, idx in terms:
+        for i in idx:
+            c *= point[i]
+        total += c
+    return total
+
+
 def evaluate(p: Poly, point) -> int:
     """The value of ``p`` at ``point``, the values of the leading
     variables in order (t1, t2, ...).  Variables past ``point`` must not
     occur in ``p``."""
-    total = 0
-    for m, c in p.items():
-        for x, e in zip(point, m):
-            if e:
-                c *= x**e
-        total += c
-    return total
+    return evaluate_terms(expand(p), point)
 
 
 def leading_term(p: PackedPoly) -> tuple[int, int]:

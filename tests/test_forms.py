@@ -13,6 +13,7 @@ from latcover.forms import (
     S_MAT,
     SEXTIC_CONJUGATOR,
     BinaryForm,
+    _box_values,
     compose,
     conjugate,
     corollary_case,
@@ -72,6 +73,44 @@ def test_compose_examples():
 def test_compose_matches_pointwise(f, x, y):
     g = RatMat2.of(2, 1, -1, 3)
     assert evaluate(compose(f, g), x, y) == evaluate(f, 2 * x + y, -x + 3 * y)
+
+
+def _fraction_compose(f, gamma):
+    """Reference ``compose``: the same expansion on ``Fraction`` lists."""
+
+    def mul(p, q):
+        out = [Fraction(0)] * (len(p) + len(q) - 1)
+        for i, a in enumerate(p):
+            for j, b in enumerate(q):
+                out[i + j] += a * b
+        return out
+
+    d = f.degree
+    pow1, pow2 = [[Fraction(1)]], [[Fraction(1)]]
+    for _ in range(d):
+        pow1.append(mul(pow1[-1], [Fraction(gamma.a), Fraction(gamma.b)]))
+        pow2.append(mul(pow2[-1], [Fraction(gamma.c), Fraction(gamma.d)]))
+    out = [Fraction(0)] * (d + 1)
+    for i, c in enumerate(f.coeffs):
+        for j, v in enumerate(mul(pow1[d - i], pow2[i])):
+            out[j] += c * v
+    return BinaryForm(tuple(out))
+
+
+@given(
+    st.lists(rational, min_size=2, max_size=7).filter(any),
+    st.tuples(rational, rational, rational, rational),
+)
+@example(
+    [Fraction(1, 2), Fraction(-3), Fraction(5, 4)],
+    (Fraction(1, 3), 0, 0, Fraction(1, 2)),
+)
+@settings(deadline=None)
+def test_compose_matches_fraction_reference(coeffs, entries):
+    f, gamma = BinaryForm.of(*coeffs), RatMat2.of(*entries)
+    got = compose(f, gamma)
+    assert got == _fraction_compose(f, gamma)
+    assert all(type(c) is Fraction for c in got.coeffs)
 
 
 def test_is_automorphism():
@@ -286,6 +325,21 @@ def test_cross_value_check_matches_fraction_reference(f, g, n, m):
     assert all(
         type(w["value"]) is int for w in got["unmatched_f"] + got["unmatched_g"]
     )
+
+
+@given(integral_forms, st.integers(0, 6))
+@settings(deadline=None)
+def test_box_values_match_pointwise(f, radius):
+    # The row-by-row box gives every value with its first point in (x, y)
+    # scan order, in the order the scan first meets them.
+    f = BinaryForm(tuple(map(int, f.coeffs)))
+    want = {}
+    for x in range(-radius, radius + 1):
+        for y in range(-radius, radius + 1):
+            want.setdefault(evaluate(f, x, y), (x, y))
+    got = _box_values(f, radius)
+    assert list(got.items()) == list(want.items())
+    assert all(type(v) is int for v in got)
 
 
 def test_cross_value_check_caps_the_box():

@@ -89,6 +89,7 @@ def test_evaluate_matches_termwise_sum(p, t):
         for m, c in p.items()
     )
     assert poly.evaluate(p, t) == expected
+    assert poly.evaluate_terms(poly.expand(p), t) == expected
 
 
 small_polys = st.lists(

@@ -1,9 +1,14 @@
+import hashlib
+import itertools
+import json
 import math
 
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from latcover.forms import F0, BinaryForm, cross_value_check, dagger
+from latcover.groebner import ELEMENT_NAMES, has_common_zero_mod7
 from latcover.modular import (
     BAD_TUPLES_MOD3,
     BAD_TUPLE_REPS,
@@ -39,6 +44,45 @@ def test_class_count_examples():
     assert class_count([(1, 0), (0, 1)], 3) == 2
     assert class_count([(0, 0), (0, 0)], 3) == 2
     assert class_count([(1, 2), (2, 4), (2, 1)], 5) == 2
+
+
+def _pairwise_class_count(pairs, n):
+    """Reference ``class_count``: a full-order pair opens a class unless
+    a unit multiple of it appears earlier in the list."""
+    total = 0
+    for i, (p, q) in enumerate(pairs):
+        if math.gcd(p, n) != 1 and math.gcd(q, n) != 1:
+            total += 1
+            continue
+        fresh = True
+        for j in range(i):
+            for k in range(n):
+                if (
+                    math.gcd(k, n) == 1
+                    and k * p % n == pairs[j][0] % n
+                    and k * q % n == pairs[j][1] % n
+                ):
+                    fresh = False
+        if fresh:
+            total += 1
+    return total
+
+
+@given(
+    st.sampled_from([3, 4, 5, 9]).flatmap(
+        lambda n: st.tuples(
+            st.just(n),
+            st.lists(
+                st.tuples(st.integers(0, 3 * n - 1), st.integers(0, 3 * n - 1)),
+                min_size=1,
+                max_size=6,
+            ),
+        )
+    )
+)
+def test_class_count_matches_pairwise_definition(case):
+    n, pairs = case
+    assert class_count(pairs, n) == _pairwise_class_count(pairs, n)
 
 
 def test_scan_mod5_no_exceptions():
@@ -125,3 +169,29 @@ def test_failed_low_order_clause_lists_offending_tuples(monkeypatch, x):
     assert failed and all(clause.startswith("low-order") for clause in failed)
     assert report.to_dict()["violations"]
     assert len(set(report.violations)) == len(report.violations)
+
+
+def test_scan_outputs_pinned():
+    # The scan reports, the 20 mod-7 verdicts and three value checks, two
+    # with unmatched witnesses, as they stood before the scan kernels
+    # moved to expanded terms, unit-class keys and row-by-row boxes.
+    combos = [
+        *((c, "pair") for c in itertools.combinations(ELEMENT_NAMES, 2)),
+        *((c, "triple") for c in itertools.combinations(ELEMENT_NAMES, 3)),
+    ]
+    out = {
+        "scans": [r.to_dict() for r in run_all_scans()],
+        "mod7": {",".join(c): has_common_zero_mod7(c, kind) for c, kind in combos},
+        "values": [
+            cross_value_check(F0, dagger(F0), 10, 60).to_dict(),
+            cross_value_check(F0, BinaryForm.of(0, 1, 3, 0), 10, 60).to_dict(),
+            cross_value_check(
+                BinaryForm.of(1, 0, 0, 2), BinaryForm.of(1, 0, 0, 3), 5, 20
+            ).to_dict(),
+        ],
+    }
+    assert [c for c, zero in out["mod7"].items() if zero] == ["R,R2", "S,RS,R2S"]
+    text = json.dumps(out, sort_keys=True)
+    assert hashlib.sha256(text.encode()).hexdigest() == (
+        "d1d4edc7d533e726e4c3d54e37d7838f184626238b00b94a725ae84e2e6a851f"
+    )
