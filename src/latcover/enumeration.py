@@ -382,16 +382,17 @@ def raw_solutions(workers: int = 1) -> list[CoveringTuple]:
 def enumerate_minimal_coverings() -> list[CoveringTuple]:
     """The minimal coverings of Z^2 by up to six subgroups.
 
-    Prunes every raw solution to its normal form, so that raw solutions
-    differing only in slot order meet in one set element; sorts the
-    distinct candidates, then keeps only those not preceded by another
-    candidate.  Only the candidates :func:`possible_predecessors` lists
-    get the exact :func:`precedes` test.  The outcome does not depend on
-    the traversal order.
+    Prunes each distinct raw solution to its normal form, so that raw
+    solutions differing only in slot order meet in one candidate; sorts
+    the distinct candidates, then keeps only those not preceded by another
+    candidate.  Tuples are told apart by their bases, which hash in C.
+    Only the candidates :func:`possible_predecessors` lists get the exact
+    :func:`precedes` test.  The outcome does not depend on the traversal
+    order.
     """
-    candidates = sorted(
-        {prune(t) for t in raw_solutions()}, key=_canonical_sort_key
-    )
+    raw = {tuple(s.gens for s in t): t for t in raw_solutions()}
+    pruned = {tuple(s.gens for s in p): p for p in map(prune, raw.values())}
+    candidates = sorted(pruned.values(), key=_canonical_sort_key)
     listed = possible_predecessors(candidates)
     return [
         c for i, c in enumerate(candidates)

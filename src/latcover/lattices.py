@@ -213,10 +213,13 @@ MAX_COVER_INDEX = 10**6
 
 def _period_factor(members, l: int) -> int:
     """The lcm k of g / gcd(g, d - d') over pairs of members, with g the
-    gcd of their a and d = (l / b) c; see :func:`is_cover`."""
+    gcd of their a and d = (l / b) c; see :func:`is_cover`.  Members with
+    a = 1 are skipped: their g is 1 against every other member."""
     k = 1
     earlier = []
     for (a, _), (c, b) in members:
+        if a == 1:
+            continue
         d = l // b * c
         for a2, d2 in earlier:
             g = math.gcd(a, a2)
@@ -259,30 +262,57 @@ def is_cover(subgroups) -> bool:
     shifted left by that residue.  The test stops at the first row that is
     not full.
 
+    Rows 0 and 1 are decided from the bases first.  (x, 0) lies in a
+    member iff a | x, so row 0 is full iff some member has a = 1.  (x, 1)
+    lies only in the members with b = 1, at x = c (mod a), so row 1 is
+    full iff their cosets fill Z / wa; only their masks are built for it.
+    Both rows are points of Z^2, so a miss in either is a verdict whatever
+    the box height.  A member with a = b = 1 is Z^2 and answers True at
+    once, so a full row 0 has a member with b > 1, l >= 2, and rows 0 and
+    1 lie below l.  Most non-covers fail in these two rows.
+
     Every quotient divides its g, which divides wa, so k divides wa and
-    wa * l * wa bounds the index wa * wb.  Rows 0 to l - 1 lie in every
-    box, since wb >= l, so they are scanned first and k is only computed
-    once they are all full; most non-covers fail in them.  Only when the
-    bound exceeds :data:`MAX_COVER_INDEX` is k computed before any row,
-    and ValueError raised if the index wa * wb itself exceeds it.  Keeps
+    wa * l * wa bounds the index wa * wb.  Rows 2 to l - 1 lie in every
+    box, since wb >= l, so they are scanned next and k is only computed
+    once they are all full.  Only when the bound exceeds
+    :data:`MAX_COVER_INDEX` is k computed before any row, and ValueError
+    raised if the index wa * wb itself exceeds it; this cap check
+    precedes every verdict but the one for a member equal to Z^2.  Keeps
     no state between calls; the forcing search memoizes its own queries.
     """
     members = [s.gens for s in subgroups if len(s.gens) == 2]
     if not members:
         return False
-    if FULL.gens in members:
-        return True
-    wa = math.lcm(*[a for (a, _), _ in members])
-    l = math.lcm(*[b for _, (_, b) in members])
+    wa = l = 1
+    row0 = False
+    row1 = []
+    for (a, _), (c, b) in members:
+        if a == 1:
+            if b == 1:
+                return True
+            row0 = True
+        else:
+            wa = math.lcm(wa, a)
+            if b == 1:
+                row1.append((a, c))
+                continue
+        l = math.lcm(l, b)
     k = _period_factor(members, l) if wa * l * wa > MAX_COVER_INDEX else None
     if k is not None and wa * l * k > MAX_COVER_INDEX:
         raise ValueError(
             f"covering test needs an intersection of index {wa * l * k}, "
             f"above the limit {MAX_COVER_INDEX}"
         )
+    if not row0 or not row1:
+        return False
     full = (1 << wa) - 1
+    mask = 0
+    for a, c in row1:
+        mask |= full // ((1 << a) - 1) << c
+    if mask != full:
+        return False
     rows = [(b, c, a, full // ((1 << a) - 1)) for (a, _), (c, b) in members]
-    if not _rows_full(rows, full, 0, l):
+    if not _rows_full(rows, full, 2, l):
         return False
     if k is None:
         k = _period_factor(members, l)

@@ -341,6 +341,33 @@ def test_pruned_raw_solutions_pinned():
     )
 
 
+def test_minimal_coverings_prune_each_distinct_raw_solution_once(monkeypatch):
+    # The search records 6,131 raw tuples, 4,295 of them distinct; only
+    # the distinct ones are pruned.  The sorted candidates are those of
+    # pruning every raw tuple into a set.
+    raw = raw_solutions()
+    expected = sorted({prune(t) for t in raw}, key=enumeration._canonical_sort_key)
+    calls = Counter()
+    inner_prune = enumeration.prune
+    inner_listed = enumeration.possible_predecessors
+
+    def counted(t):
+        calls["prune"] += 1
+        return inner_prune(t)
+
+    def recorded(tuples):
+        calls["candidates"] += 1
+        assert tuples == expected
+        return inner_listed(tuples)
+
+    monkeypatch.setattr(enumeration, "prune", counted)
+    monkeypatch.setattr(enumeration, "possible_predecessors", recorded)
+    assert len(enumerate_minimal_coverings()) == 54
+    assert len(raw) == 6131 and len(set(raw)) == 4295
+    assert calls == {"prune": 4295, "candidates": 1}
+    assert len(expected) == 101
+
+
 def test_prune_rejects_more_than_six_slots():
     with pytest.raises(ValueError, match="7 slots"):
         prune(LENGTH3 + (ZERO,) * 4)

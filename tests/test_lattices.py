@@ -306,6 +306,49 @@ def test_is_cover_scans_rows_past_l(catalog):
         seen[got] += 1
 
 
+def _tuple(*bases):
+    return [Subgroup(((a, 0), (c, b))) for a, c, b in bases]
+
+
+@pytest.mark.parametrize(
+    "bases, scanned, cover",
+    [
+        # Row 0: no member has a = 1, so (1, 0) is missed.
+        (((2, 0, 1), (2, 1, 1), (3, 0, 2)), [], False),
+        # Row 1: a = 1 is present, but the b = 1 cosets 0 and 1 mod 3
+        # leave (2, 1).
+        (((1, 0, 2), (3, 0, 1), (3, 1, 1)), [], False),
+        # Rows 0 and 1 are full; (1, 2) is missed below l = 4.
+        (((1, 0, 4), (2, 0, 1), (2, 1, 1)), [(2, 4)], False),
+        # Rows 0 to l - 1 = 1 are full; (1, 3) is missed at wb = 6 > l.
+        (((1, 0, 2), (3, 0, 1), (3, 1, 1), (3, 2, 1)), [(2, 2), (2, 6)], False),
+        # The length-3 covering scans its whole box.
+        (((2, 0, 1), (1, 0, 2), (2, 1, 1)), [(2, 2), (2, 2)], True),
+    ],
+)
+def test_is_cover_exits_match_oracle(monkeypatch, bases, scanned, cover):
+    # Rows 0 and 1 are decided before any row of the box is scanned; the
+    # rest is scanned as rows 2 to l - 1, then l to wb - 1.
+    tup = _tuple(*bases)
+    calls = []
+    inner = lattices_module._rows_full
+
+    def recorded(rows, full, start, stop):
+        calls.append((start, stop))
+        return inner(rows, full, start, stop)
+
+    monkeypatch.setattr(lattices_module, "_rows_full", recorded)
+    assert is_cover(tup) == _period_box_oracle(tup) == cover
+    assert calls == scanned
+
+
+def test_is_cover_cap_precedes_row_0():
+    # Row 0 misses (1, 0), but the intersection's index 10^12 is above
+    # the cap, so the cap check answers first.
+    with pytest.raises(ValueError, match="above the limit"):
+        is_cover([Subgroup(((2, 0), (0, 1))), Subgroup(((10**12, 0), (0, 1)))])
+
+
 def test_is_cover_keeps_no_module_state():
     def sizes():
         out = {}
