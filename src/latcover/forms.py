@@ -144,8 +144,8 @@ def dihedral_groups() -> tuple[list[GroupElement], list[GroupElement]]:
         _element("R", R_MAT),
         _element("R2", R_MAT @ R_MAT),
         _element("S", S_MAT),
-        _element("SR", S_MAT @ R_MAT),
-        _element("SR2", S_MAT @ R_MAT @ R_MAT),
+        _element("RS", R_MAT @ S_MAT),
+        _element("R2S", R_MAT @ R_MAT @ S_MAT),
     ]
     d6 = d3 + [_element("-" + g.name, -g.matrix) for g in d3]
     return d3, d6
@@ -209,10 +209,7 @@ def extraordinary_by_C3(f: BinaryForm, t: RatMat2, variant: str = "d3") -> bool:
 
 def dagger(f: BinaryForm) -> BinaryForm:
     """The companion form F(2X, Y): coefficient c_i picks up 2^(d-i)."""
-    d = f.degree
-    return BinaryForm(
-        tuple(c * 2 ** (d - i) for i, c in enumerate(f.coeffs))
-    )
+    return compose(f, RatMat2.of(2, 0, 0, 1))
 
 
 def _det(rows: list[list[Fraction]]) -> Fraction:

@@ -43,8 +43,10 @@ ELEMENT_NAMES = ("R", "R2", "S", "RS", "R2S")
 #: (top1, top2, bot1, bot2) of its pair of defining congruences.  With
 #: T = (t1 t2; t3 t4), (top1, top2) and (bot1, bot2) are, up to sign, the
 #: two rows of adj(T) g T.  This is the one definition of these
-#: polynomials: the residue scans in ``modular``, the mod-7 oracle and
-#: the ideal-membership certificates all evaluate or reduce these.  The
+#: polynomials: the residue scans in ``modular`` (the first rows for the
+#: class scans, the bottom-left entries of R, S, RS and R2S at
+#: (u, 0, v, 0) for the mod-9 quadratic forms), the mod-7 oracle and the
+#: ideal-membership certificates all evaluate or reduce these.  The
 #: signs decide the exact reduced bases; do not change them.
 COEFF_POLYS: dict[str, tuple[Poly, Poly, Poly, Poly]] = {
     "R": (

@@ -9,6 +9,9 @@ basis, so equality of subgroups is plain equality of objects:
 
 For a rank-2 subgroup the index in Z^2 is a * b and membership of (x, y)
 amounts to b | y and a | (x - (y // b) * c).
+
+Intersections and :func:`lattice_of` are taken by duality, as canonical
+forms of integer multiples of duals (see :func:`_dual`).
 """
 
 from __future__ import annotations
@@ -37,20 +40,6 @@ def xgcd(a: int, b: int) -> tuple[int, int, int]:
     if g < 0:
         g, s, t = -g, -s, -t
     return g, s, t
-
-
-def _crt(r1: int, m1: int, r2: int, m2: int) -> tuple[int, int]:
-    """Solve x = r1 (mod m1), x = r2 (mod m2); return (x, lcm).
-
-    The system must be compatible; callers only build compatible systems.
-    """
-    g, s, _ = xgcd(m1, m2)
-    diff = r2 - r1
-    if diff % g:
-        raise ArithmeticError("incompatible congruences")
-    l = m1 // g * m2
-    x = (r1 + (diff // g) * s % (m2 // g) * m1) % l
-    return x, l
 
 
 @dataclass(frozen=True, slots=True)
@@ -150,32 +139,27 @@ def is_subgroup_of(a: Subgroup, b: Subgroup) -> bool:
     return all(contains(b, g) for g in a.gens)
 
 
-def _intersect_rank2(p: Subgroup, q: Subgroup) -> Subgroup:
-    """Intersection of two rank-2 subgroups, via their congruence forms.
-
-    A point (x, y) lies in the subgroup with basis (a, 0), (c, b) iff
-    y = 0 (mod b) and x = (y / b) c (mod a).
-    """
-    (aA, _), (cA, bA) = p.gens
-    (aB, _), (cB, bB) = q.gens
-    # Smallest positive y admitting some x in both subgroups.
-    l = bA // math.gcd(bA, bB) * bB
-    g = math.gcd(aA, aB)
-    delta = ((l // bA) * cA - (l // bB) * cB) % g if g > 1 else 0
-    k0 = g // math.gcd(g, delta) if delta else 1
-    b = k0 * l
-    # On the x-axis both congruences force x = 0 modulo each a.
-    a = aA // math.gcd(aA, aB) * aB
-    x0, _ = _crt((b // bA) * cA % aA, aA, (b // bB) * cB % aB, aB)
-    return Subgroup(((a, 0), (x0 % a, b)))
+def _dual(m: Subgroup, n: int) -> Subgroup:
+    """n m* in canonical form, m* = {y : y . x in Z for x in m} the dual
+    of the rank-2 subgroup m.  The basis (p, 0), (r, q) of m has the dual
+    basis (1/p, -r/(pq)), (0, 1/q); n m* is integral iff n Z^2 lies in m,
+    as it does when the index pq divides n.  (n m*)* = m / n."""
+    (p, _), (r, q) = m.gens
+    return canonicalize([(n // p, -(n * r) // (p * q)), (0, n // q)])
 
 
 def intersect(p: Subgroup, q: Subgroup) -> Subgroup:
-    """Intersection of two subgroups, in canonical form."""
+    """Intersection of two subgroups, in canonical form.
+
+    For rank 2 it is (P* + Q*)*.  With N the lcm of the indices,
+    N P* and N Q* are integral, and so is N times the dual of their sum
+    N (P n Q)*, as N (P n Q)* contains N Z^2.
+    """
     if p.rank == 0 or q.rank == 0:
         return ZERO
     if p.rank == 2 and q.rank == 2:
-        return _intersect_rank2(p, q)
+        n = math.lcm(index(p), index(q))
+        return _dual(canonicalize(_dual(p, n).gens + _dual(q, n).gens), n)
     if p.rank == 1 and q.rank == 1:
         (ux, uy), = p.gens
         (vx, vy), = q.gens
@@ -322,20 +306,21 @@ def is_cover(subgroups) -> bool:
 def lattice_of(gamma) -> Subgroup:
     """The subgroup of integer points that ``gamma`` maps into Z^2.
 
-    ``gamma`` is a 2x2 rational matrix with nonzero determinant.  The
-    result only depends on gamma up to sign, and equals Z^2 exactly when
-    gamma is integral.
+    ``gamma`` is a 2x2 rational matrix with nonzero determinant; a
+    singular one raises ZeroDivisionError.  The result only depends on
+    gamma up to sign, and equals Z^2 exactly when gamma is integral.
 
-    The subgroup is Z^2 intersected with the lattice spanned by the
-    columns of gamma^-1.  Scaled by the common denominator D of gamma^-1
-    both are integral, so the intersection is taken in D Z^2 and divided
-    by D.
+    x and gamma x are integral iff x . z and x . gamma^T w are integers
+    for all integer z and w, so the subgroup is the dual of M = Z^2 +
+    gamma^T Z^2, spanned by Z^2 and the rows of gamma.  With D the common
+    denominator of gamma, D M is integral and contains D Z^2, so the dual
+    of M, D times that of D M, is integral.
     """
-    inv = gamma.inverse()
-    d = math.lcm(*(e.denominator for e in inv.entries()))
-    cols = canonicalize([(inv.a * d, inv.c * d), (inv.b * d, inv.d * d)])
-    (a, _), (c, b) = intersect(cols, canonicalize([(d, 0), (0, d)])).gens
-    return Subgroup(((a // d, 0), (c // d, b // d)))
+    if gamma.det() == 0:
+        raise ZeroDivisionError("matrix is singular")
+    d = math.lcm(*(e.denominator for e in gamma.entries()))
+    a, b, c, dd = (e.numerator * (d // e.denominator) for e in gamma.entries())
+    return _dual(canonicalize([(d, 0), (0, d), (a, b), (c, dd)]), d)
 
 
 def density_sum(subgroups) -> Fraction:

@@ -7,7 +7,8 @@ The identity contributes the pair (1, 0); the other five contribute the
 values at t of their first-row polynomials in ``groebner.COEFF_POLYS``,
 the one definition the Groebner certificates reduce as well.  The scans
 below exhaustively check the claimed bounds on the number of equivalence
-classes of these coefficient pairs over small moduli.
+classes of these coefficient pairs over small moduli; the mod-9 scan of
+four quadratic forms reads bottom-left entries of the same table.
 """
 
 from __future__ import annotations
@@ -39,6 +40,10 @@ TRIPLE_VANISHING_TUPLES = (
 _TOP_TERMS = tuple(
     (expand(COEFF_POLYS[e][0]), expand(COEFF_POLYS[e][1])) for e in ELEMENT_NAMES
 )
+
+
+#: The bottom-left polynomials of R, S, RS and R2S, expanded once.
+_QUADRATIC_TERMS = tuple(expand(COEFF_POLYS[e][2]) for e in ("R", "S", "RS", "R2S"))
 
 
 def _top_rows(t):
@@ -135,12 +140,18 @@ class ScanReport:
         }
 
 
+def _settle(report: ScanReport, offending: dict) -> ScanReport:
+    """Every scan's report rule: a clause holds iff it has no offending
+    tuple, and ``violations`` lists each offending tuple once, in clause
+    order."""
+    report.clauses = {clause: not tuples for clause, tuples in offending.items()}
+    report.violations = list(dict.fromkeys(t for ts in offending.values() for t in ts))
+    return report
+
+
 def scan_pair_classes(x: int) -> ScanReport:
     """Scan all residue tuples mod x in {3, 4, 5} and bound the class
-    count of the six coefficient pairs.
-
-    ``violations`` lists each tuple that breaks a clause, once.
-    """
+    count of the six coefficient pairs."""
     if x not in (3, 4, 5):
         raise ValueError("modulus must be 3, 4 or 5")
     report = ScanReport(name="pair-classes", modulus=x)
@@ -190,9 +201,7 @@ def scan_pair_classes(x: int) -> ScanReport:
                 t for t in z_violations if t not in bad
             ],
         }
-    report.clauses = {clause: not tuples for clause, tuples in offending.items()}
-    report.violations = list(dict.fromkeys(t for ts in offending.values() for t in ts))
-    return report
+    return _settle(report, offending)
 
 
 def scan_lifted_classes(rep) -> ScanReport:
@@ -221,9 +230,7 @@ def scan_lifted_classes(rep) -> ScanReport:
                         pairs.append((p1 // 3 % 3, p2 // 3 % 3))
                     if class_count(pairs, 3) > 3 or low_order_count(pairs, 3) > 1:
                         violations.append(t)
-    report.violations = violations
-    report.clauses["lifted-class-count-at-most-3"] = not violations
-    return report
+    return _settle(report, {"lifted-class-count-at-most-3": violations})
 
 
 def scan_first_coefficient_vanishing() -> ScanReport:
@@ -249,40 +256,34 @@ def scan_first_coefficient_vanishing() -> ScanReport:
                         bad_counts.append(t)
                     if zeros == 5:
                         count5.append(t)
-    report.clauses["count-in-0-1-2-5"] = not bad_counts
-    report.clauses["count-5-set-matches"] = set(count5) == set(
-        TRIPLE_VANISHING_TUPLES
-    )
-    report.violations = bad_counts
     report.exceptional = count5
-    return report
+    return _settle(report, {
+        "count-in-0-1-2-5": bad_counts,
+        "count-5-set-matches": sorted(set(TRIPLE_VANISHING_TUPLES) ^ set(count5)),
+    })
 
 
 def scan_quadratic_forms_mod9() -> ScanReport:
     """Exhaustive check mod 9 of the four quadratic forms
     A = U^2+UV+V^2, B = V^2-U^2, C = U^2+2UV, D = V^2+2UV:
     A never vanishes and at most one of the four vanishes.
+
+    The forms are the bottom-left coefficient polynomials of R, S, RS and
+    R^2S in ``groebner.COEFF_POLYS`` at t = (U, 0, V, 0), where they read
+    A, -B, C and D; a form and its negative vanish together.
     """
     report = ScanReport(name="quadratic-forms", modulus=9)
-    violations = []
+    a_zero, multiple = [], []
     for u in range(9):
         for v in range(9):
             if math.gcd(u, math.gcd(v, 3)) != 1:
                 continue
-            a = (u * u + u * v + v * v) % 9
-            b = (v * v - u * u) % 9
-            c = (u * u + 2 * u * v) % 9
-            d = (v * v + 2 * u * v) % 9
-            if a == 0:
-                violations.append((u, v, "A"))
-            if sum(1 for w in (a, b, c, d) if w == 0) > 1:
-                violations.append((u, v, "multiple"))
-    report.violations = violations
-    report.clauses["A-nonzero"] = not any(v[2] == "A" for v in violations)
-    report.clauses["at-most-one-vanishes"] = not any(
-        v[2] == "multiple" for v in violations
-    )
-    return report
+            values = [evaluate_terms(f, (u, 0, v, 0)) % 9 for f in _QUADRATIC_TERMS]
+            if values[0] == 0:
+                a_zero.append((u, v))
+            if values.count(0) > 1:
+                multiple.append((u, v))
+    return _settle(report, {"A-nonzero": a_zero, "at-most-one-vanishes": multiple})
 
 
 def run_all_scans() -> list[ScanReport]:

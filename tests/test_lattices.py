@@ -1,3 +1,4 @@
+import itertools
 import math
 import random
 from collections.abc import Sized
@@ -129,6 +130,36 @@ def test_intersect_commutes(g1, g2):
 def test_intersect_associates(g1, g2, g3):
     a, b, c = (canonicalize(g) for g in (g1, g2, g3))
     assert intersect(intersect(a, b), c) == intersect(a, intersect(b, c))
+
+
+def _intersection_by_search(p, q):
+    """Reference for the intersection of two rank-2 subgroups: its
+    canonical basis (A, 0), (C, B) searched point by point with
+    ``contains``.  A is the least x > 0 with (x, 0) in both, B the least
+    height y > 0 of a point of both with 0 <= x < A, and C that x.  The
+    points of p at height y are the x = (y / b) c (mod a) with b | y, so
+    only those are tried."""
+    (a, _), (c, b) = p.gens
+    w = next(x for x in itertools.count(a, a) if contains(q, (x, 0)))
+    for y in itertools.count(b, b):
+        for x in range((y // b) * c % a, w, a):
+            if contains(q, (x, y)):
+                return Subgroup(((w, 0), (x, y)))
+
+
+def test_intersect_matches_search_on_3000_seeded_pairs():
+    # Indices up to 150, so intersections reach index 150 * 149 and
+    # heights far past the membership boxes of the tests above.
+    rng = random.Random(17)
+
+    def rank2():
+        n = rng.randint(1, 150)
+        a = rng.choice([d for d in range(1, n + 1) if n % d == 0])
+        return Subgroup(((a, 0), (rng.randrange(a), n // a)))
+
+    for _ in range(3000):
+        p, q = rank2(), rank2()
+        assert intersect(p, q) == _intersection_by_search(p, q), (p, q)
 
 
 # Small rank-2 bases directly, so that the divisibility conditions on a
@@ -432,6 +463,19 @@ def test_lattice_of_matches_residue_loop(g):
             lattice_of(g)
     else:
         assert lattice_of(g) == _lattice_of_by_residues(g)
+
+
+def test_lattice_of_matches_residue_loop_up_to_denominator_12():
+    # One denominator d per matrix keeps the residue loop at most 12 x 12.
+    rng = random.Random(12)
+    seen = 0
+    while seen < 500:
+        d = rng.randint(1, 12)
+        g = RatMat2(*(Fraction(rng.randint(-5 * d, 5 * d), d) for _ in range(4)))
+        if g.det() == 0:
+            continue
+        seen += 1
+        assert lattice_of(g) == _lattice_of_by_residues(g), g
 
 
 def test_lattice_of_integral_iff_full():

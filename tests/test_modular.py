@@ -8,7 +8,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from latcover.forms import F0, BinaryForm, cross_value_check, dagger
-from latcover.groebner import ELEMENT_NAMES, has_common_zero_mod7
+from latcover.groebner import COEFF_POLYS, ELEMENT_NAMES, has_common_zero_mod7
 from latcover.modular import (
     BAD_TUPLES_MOD3,
     BAD_TUPLE_REPS,
@@ -22,6 +22,7 @@ from latcover.modular import (
     scan_quadratic_forms_mod9,
     top_pairs,
 )
+from latcover.poly import evaluate
 
 tuples4 = st.tuples(*(st.integers(-30, 30) for _ in range(4)))
 
@@ -148,6 +149,31 @@ def test_quadratic_forms_mod9():
     report = scan_quadratic_forms_mod9()
     assert report.ok
     assert report.violations == []
+
+
+def test_quadratic_forms_are_the_coeff_polys_entries():
+    # The forms as the scan's docstring writes them, against the
+    # bottom-left COEFF_POLYS entries the scan evaluates at (u, 0, v, 0).
+    forms = {
+        "R": lambda u, v: u * u + u * v + v * v,  # A
+        "S": lambda u, v: -(v * v - u * u),  # -B
+        "RS": lambda u, v: u * u + 2 * u * v,  # C
+        "R2S": lambda u, v: v * v + 2 * u * v,  # D
+    }
+    for u in range(-5, 6):
+        for v in range(-5, 6):
+            for e, form in forms.items():
+                assert evaluate(COEFF_POLYS[e][2], (u, 0, v, 0)) == form(u, v), e
+
+
+def test_failed_count_5_clause_names_the_missing_tuple(monkeypatch):
+    from latcover import modular
+
+    kept = tuple(t for t in TRIPLE_VANISHING_TUPLES if t != (2, 1, 2, 1))
+    monkeypatch.setattr(modular, "TRIPLE_VANISHING_TUPLES", kept)
+    report = scan_first_coefficient_vanishing()
+    assert report.clauses == {"count-in-0-1-2-5": True, "count-5-set-matches": False}
+    assert report.violations == [(2, 1, 2, 1)]
 
 
 def test_run_all_scans_green():
