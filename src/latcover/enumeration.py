@@ -14,9 +14,11 @@ the forcing points its subgroup contains, so the union's mask is an OR of
 slot masks.  A union that misses a forcing point is not all of Z^2, so the
 exact covering test :func:`~latcover.lattices.is_cover` only runs on
 tuples whose mask is full, once per distinct multiset of rank-2 slots: the
-search tests 2,209 of them, all covers.  The tables are dropped when the
-search returns; only the forcing-point masks, memoized by basis, outlive
-it.  :func:`prune` runs no exact test; it decides on the masks alone.
+search tests 2,209 of them, all covers.  The tables live as long as the
+caller keeps the :class:`Search`: :func:`enumerate_minimal_coverings`
+dedupes and prunes the raw solutions as id tuples on them, and only the
+forcing-point masks, memoized by basis, outlive it.  :func:`prune` runs
+no exact test; it decides on the masks alone.
 :func:`possible_predecessors` narrows the minimality filter's exact
 :func:`precedes` tests to the pairs a containment bitset allows.
 """
@@ -73,20 +75,26 @@ class ForcingListExhausted(RuntimeError):
 #: The mask of a union that contains every forcing point.
 _FULL_MASK = (1 << len(FORCING_POINTS)) - 1
 
-#: Size of the forcing-point mask memo.  The search reaches 185 distinct
-#: subgroups, so they fit with room to spare, and other callers of
-#: :func:`prune` cannot grow the memo further.
+#: Size of the forcing-point mask memo, the one table that outlives a
+#: search.  A mask is computed when a :class:`Search` interns a subgroup;
+#: the search reaches 185 distinct subgroups, so they fit with room to
+#: spare, and the tuples other callers pass to :func:`prune` cannot grow
+#: the memo further.
 _MEMO_SIZE = 4096
 
 
 @lru_cache(maxsize=_MEMO_SIZE)
 def _mask(gens: tuple) -> int:
     """Bit i is set iff the subgroup with basis ``gens`` contains
-    ``FORCING_POINTS[i]``."""
-    s = Subgroup(gens)
+    ``FORCING_POINTS[i]``.  Rank-2 membership is decided inline, as
+    :func:`~latcover.lattices.contains` would."""
+    if len(gens) != 2:
+        s = Subgroup(gens)
+        return sum(1 << i for i, p in enumerate(FORCING_POINTS) if contains(s, p))
+    (a, _), (c, b) = gens
     bits = 0
-    for i, p in enumerate(FORCING_POINTS):
-        if contains(s, p):
+    for i, (x, y) in enumerate(FORCING_POINTS):
+        if y % b == 0 and (x - y // b * c) % a == 0:
             bits |= 1 << i
     return bits
 
@@ -99,7 +107,8 @@ class Search:
     ``i * len(FORCING_POINTS) + p`` to the id of subgroup i enlarged by
     forcing point p, or to -1 when that is all of Z^2.  ``verdicts`` maps
     the sorted ids of a tuple's rank-2 slots to its :func:`is_cover`
-    verdict.
+    verdict.  ``solutions`` holds the id tuples that a
+    :func:`raw_solutions` call on these tables found.
     """
 
     def __init__(self):
@@ -108,6 +117,7 @@ class Search:
         self.rank2: list[bool] = []
         self.steps: dict[int, int] = {}
         self.verdicts: dict[tuple[int, ...], bool] = {}
+        self.solutions: list[tuple[int, ...]] = []
         self._ids: dict[tuple, int] = {}
         self.intern(ZERO)
 
@@ -142,8 +152,7 @@ class Search:
         Calls ``is_cover`` through the module global, so a wrapper
         installed there sees every miss.
         """
-        rank2 = self.rank2
-        key = tuple(sorted([i for i in ids if rank2[i]]))
+        key = tuple(sorted(filter(self.rank2.__getitem__, ids)))
         verdict = self.verdicts.get(key)
         if verdict is None:
             verdict = self.verdicts[key] = is_cover(self.tuple_of(key))
@@ -215,7 +224,8 @@ def prune(t: CoveringTuple) -> CoveringTuple:
     The surviving slots come back sorted by (index, basis), followed by
     the zero slots, so tuples that differ only in slot order prune to
     equal tuples.  Raises ValueError for more than ``SLOTS`` slots, where
-    the forcing property says nothing.
+    the forcing property says nothing.  Runs :func:`_prune_ids` on a new
+    :class:`Search`'s tables.
 
     A wrong drop is not silent.  It yields a candidate that does not
     cover, and every tuple below it in :func:`precedes` fails to cover
@@ -227,26 +237,38 @@ def prune(t: CoveringTuple) -> CoveringTuple:
     """
     if len(t) > SLOTS:
         raise ValueError(f"{len(t)} slots, more than {SLOTS}")
-    masks = [_mask(s.gens) for s in t]
-    # after[i] is the OR of the masks of slots i + 1 on, none dropped yet;
+    search = Search()
+    ids = search.ids(t)
+    keys = list(map(_slot_key, search.subgroups))
+    return search.tuple_of(_prune_ids(ids, search.masks, keys))
+
+
+def _prune_ids(
+    ids: tuple[int, ...], masks: list[int], keys: list
+) -> tuple[int, ...]:
+    """:func:`prune` on a tuple of ids of one :class:`Search`, given its
+    ``masks`` and the :func:`_slot_key` of each id in ``keys``; id 0 is
+    the zero subgroup."""
+    # after[k] is the OR of the masks of slots k + 1 on, none dropped yet;
     # before is the OR of the masks of the slots kept so far.
-    after = [0] * len(t)
-    for i in range(len(t) - 1, 0, -1):
-        after[i - 1] = after[i] | masks[i]
+    after = [0] * len(ids)
+    for k in range(len(ids) - 1, 0, -1):
+        after[k - 1] = after[k] | masks[ids[k]]
     before = 0
     kept = []
-    for s, m, rest in zip(t, masks, after):
+    for i, rest in zip(ids, after):
         if before | rest != _FULL_MASK:
-            before |= m
-            if s.gens:
-                kept.append(s)
-    kept.sort(key=_slot_key)
-    return tuple(kept) + (ZERO,) * (len(t) - len(kept))
+            before |= masks[i]
+            if i:
+                kept.append(i)
+    kept.sort(key=keys.__getitem__)
+    return tuple(kept) + (0,) * (len(ids) - len(kept))
 
 
 def _slot_key(s: Subgroup):
-    """(index, basis) of a nonzero subgroup; the index is computed inline
-    for rank 2, as :func:`~latcover.lattices.index` would."""
+    """(index, basis) of a subgroup, the order of the kept slots of a
+    pruned tuple; the index is computed inline for rank 2, as
+    :func:`~latcover.lattices.index` would."""
     g = s.gens
     return (g[0][0] * g[1][1] if len(g) == 2 else INDEX_INFINITE, g)
 
@@ -330,14 +352,16 @@ def possible_predecessors(tuples) -> list[list[int]]:
     return [[i for i, o in enumerate(own) if not o & ~r] for r in reach]
 
 
-def _subtree(task: tuple[CoveringTuple, int]) -> list[CoveringTuple]:
-    """Every covering tuple found below a node, searched on new tables."""
+def _subtree(
+    task: tuple[CoveringTuple, int], search: Search | None = None
+) -> list[CoveringTuple]:
+    """Every covering tuple found below a node, searched on the tables of
+    ``search`` or on new ones; their id tuples stay in ``solutions``."""
     slots, point_index = task
-    search = Search()
-    return [
-        search.tuple_of(t)
-        for t in find_lattices(search, search.ids(slots), point_index)
-    ]
+    if search is None:
+        search = Search()
+    search.solutions = find_lattices(search, search.ids(slots), point_index)
+    return list(map(search.tuple_of, search.solutions))
 
 
 def _expand_frontier(min_tasks: int):
@@ -362,14 +386,21 @@ def _expand_frontier(min_tasks: int):
     )
 
 
-def raw_solutions(workers: int = 1) -> list[CoveringTuple]:
+def raw_solutions(
+    workers: int = 1, *, search: Search | None = None
+) -> list[CoveringTuple]:
     """All covering tuples produced by the search from the empty tuple.
 
     With ``workers > 1`` independent subtrees run in separate processes;
     the combined list is identical to the sequential one up to order.
+    A ``search`` given is searched on in this process, so ``workers``
+    must then be 1, and its ``solutions`` are the id tuples of the
+    returned list, in order.
     """
     if workers <= 1:
-        return _subtree((EMPTY_TUPLE, 0))
+        return _subtree((EMPTY_TUPLE, 0), search)
+    if search is not None:
+        raise ValueError("a search's tables live in one process; use workers=1")
     from concurrent.futures import ProcessPoolExecutor
 
     head, tasks = _expand_frontier(8 * workers)
@@ -382,17 +413,20 @@ def raw_solutions(workers: int = 1) -> list[CoveringTuple]:
 def enumerate_minimal_coverings() -> list[CoveringTuple]:
     """The minimal coverings of Z^2 by up to six subgroups.
 
-    Prunes each distinct raw solution to its normal form, so that raw
-    solutions differing only in slot order meet in one candidate; sorts
-    the distinct candidates, then keeps only those not preceded by another
-    candidate.  Tuples are told apart by their bases, which hash in C.
-    Only the candidates :func:`possible_predecessors` lists get the exact
-    :func:`precedes` test.  The outcome does not depend on the traversal
-    order.
+    Runs :func:`raw_solutions` once, on tables it keeps, and works on the
+    search's id tuples: prunes each distinct raw solution once to its
+    normal form with :func:`_prune_ids`, so that raw solutions differing
+    only in slot order meet in one candidate.  Only the distinct pruned
+    tuples become subgroup tuples again; it sorts them, then keeps only
+    those not preceded by another candidate.  Only the candidates
+    :func:`possible_predecessors` lists get the exact :func:`precedes`
+    test.  The outcome does not depend on the traversal order.
     """
-    raw = {tuple(s.gens for s in t): t for t in raw_solutions()}
-    pruned = {tuple(s.gens for s in p): p for p in map(prune, raw.values())}
-    candidates = sorted(pruned.values(), key=_canonical_sort_key)
+    search = Search()
+    raw_solutions(search=search)
+    masks, keys = search.masks, list(map(_slot_key, search.subgroups))
+    pruned = {_prune_ids(t, masks, keys) for t in set(search.solutions)}
+    candidates = sorted(map(search.tuple_of, pruned), key=_canonical_sort_key)
     listed = possible_predecessors(candidates)
     return [
         c for i, c in enumerate(candidates)

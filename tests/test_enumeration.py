@@ -343,24 +343,24 @@ def test_pruned_raw_solutions_pinned():
 
 def test_minimal_coverings_prune_each_distinct_raw_solution_once(monkeypatch):
     # The search records 6,131 raw tuples, 4,295 of them distinct; only
-    # the distinct ones are pruned.  The sorted candidates are those of
-    # pruning every raw tuple into a set.
+    # the distinct ones go through the prune kernel, as id tuples.  The
+    # sorted candidates are those of pruning every raw tuple into a set.
     raw = raw_solutions()
     expected = sorted({prune(t) for t in raw}, key=enumeration._canonical_sort_key)
     calls = Counter()
-    inner_prune = enumeration.prune
+    inner_prune = enumeration._prune_ids
     inner_listed = enumeration.possible_predecessors
 
-    def counted(t):
+    def counted(ids, masks, keys):
         calls["prune"] += 1
-        return inner_prune(t)
+        return inner_prune(ids, masks, keys)
 
     def recorded(tuples):
         calls["candidates"] += 1
         assert tuples == expected
         return inner_listed(tuples)
 
-    monkeypatch.setattr(enumeration, "prune", counted)
+    monkeypatch.setattr(enumeration, "_prune_ids", counted)
     monkeypatch.setattr(enumeration, "possible_predecessors", recorded)
     assert len(enumerate_minimal_coverings()) == 54
     assert len(raw) == 6131 and len(set(raw)) == 4295
@@ -377,15 +377,76 @@ def test_catalog_fails_on_a_wrong_prune_drop(monkeypatch):
     # Dropping a slot of the length-3 candidate leaves two subgroups that
     # do not cover.  No other candidate precedes them, so the minimality
     # filter keeps them, and the exact test of canonical_entry rejects
-    # them.
-    inner = enumeration.prune
+    # them.  The kernel works on ids, where id 0 is the zero subgroup.
+    inner = enumeration._prune_ids
 
-    def drops_too_much(t):
-        out = inner(t)
-        if sum(1 for s in out if s.gens) == 3:
-            out = out[:2] + (ZERO,) * (len(out) - 2)
+    def drops_too_much(ids, masks, keys):
+        out = inner(ids, masks, keys)
+        if sum(1 for i in out if i) == 3:
+            out = out[:2] + (0,) * (len(out) - 2)
         return out
 
-    monkeypatch.setattr(enumeration, "prune", drops_too_much)
+    monkeypatch.setattr(enumeration, "_prune_ids", drops_too_much)
     with pytest.raises(ValueError, match="does not cover"):
         generate_catalog()
+
+
+def _mask_by_contains(s: Subgroup) -> int:
+    """Reference for ``_mask``: one ``contains`` per forcing point."""
+    return sum(
+        1 << i for i, p in enumerate(enumeration.FORCING_POINTS) if contains(s, p)
+    )
+
+
+def test_mask_matches_contains_on_every_interned_subgroup():
+    search = enumeration.Search()
+    raw_solutions(search=search)
+    assert len(search.subgroups) == 185
+    for s, m in zip(search.subgroups, search.masks):
+        assert enumeration._mask(s.gens) == m == _mask_by_contains(s)
+
+
+@given(
+    st.lists(
+        st.tuples(st.integers(-40, 40), st.integers(-40, 40)), min_size=0, max_size=3
+    )
+)
+def test_mask_matches_contains_on_random_subgroups(gens):
+    # Zero, one or several generators: canonical subgroups of rank 0, 1
+    # and 2 alike.
+    s = canonicalize(gens)
+    assert enumeration._mask(s.gens) == _mask_by_contains(s)
+
+
+def test_mask_reads_the_forcing_list_at_call_time(monkeypatch):
+    s = canonicalize([(2, 0), (1, 3)])
+    points = [(3, 3), (1, 0), (1, 3), (0, 6)]
+    monkeypatch.setattr(enumeration, "FORCING_POINTS", tuple(points))
+    enumeration._mask.cache_clear()
+    try:
+        assert enumeration._mask(s.gens) == 0b1101 == _mask_by_contains(s)
+    finally:
+        enumeration._mask.cache_clear()
+
+
+def test_minimal_coverings_call_raw_solutions_once(monkeypatch):
+    # A wrapper installed on the module global sees the one call, and the
+    # list it returns is the search's id tuples mapped to subgroups.
+    seen = []
+    inner = enumeration.raw_solutions
+
+    def recorded(*args, **kwargs):
+        out = inner(*args, **kwargs)
+        seen.append((kwargs["search"], out))
+        return out
+
+    monkeypatch.setattr(enumeration, "raw_solutions", recorded)
+    assert len(enumerate_minimal_coverings()) == 54
+    [(search, out)] = seen
+    assert len(out) == len(search.solutions) == 6131
+    assert list(map(search.tuple_of, search.solutions)) == out == inner()
+
+
+def test_raw_solutions_keeps_a_given_search_in_one_process():
+    with pytest.raises(ValueError, match="one process"):
+        raw_solutions(workers=2, search=enumeration.Search())
