@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import heapq
 import itertools
+import math
 from dataclasses import dataclass
 
 from . import poly
@@ -101,17 +102,25 @@ def strong_groebner(gens) -> list[Poly]:
     """A strong Groebner basis over Z of the ideal generated by ``gens``.
 
     Buchberger's algorithm with both S-polynomials and gcd-polynomials.
-    A popped pair (i, j) skips its S-polynomial by Buchberger's chain
-    criterion (Buchberger, EUROSAM 1979, LNCS 72), taken over Z with the
-    full term lcm (Lichtblau, Illinois J. Math. 56, 2012): some k other
-    than i and j has LM_k | lcm(LM_i, LM_j) and LC_k | lcm(LC_i, LC_j),
-    and neither (i, k) nor (j, k) is still queued.  Then the term lcm
-    T_ij = lcm(LC_i, LC_j) * lcm(LM_i, LM_j) is a multiple of T_ik and
-    T_jk, so the S-syzygy of (i, j) is (T_ij / T_ik) times that of
-    (i, k) minus (T_ij / T_jk) times that of (j, k), both already
-    accounted for.  The split needs LT_k, coefficient included, to
-    divide T_ij: with the monomial condition alone the quotients need
-    not be integers, and the engine loses basis elements
+    S-polynomials are dropped by the Gebauer-Moeller update (J. Symb.
+    Comput. 6, 1988), taken over Z with the full term lcm T_ij =
+    lcm(LC_i, LC_j) * lcm(LM_i, LM_j) (Lichtblau, Illinois J. Math. 56,
+    2012).  It runs once, when an element h is appended:
+
+    * B: a queued pair (i, j) loses its S-polynomial when LT_h | T_ij,
+      T_ih != T_ij and T_jh != T_ij.  Its S-syzygy is then (T_ij / T_ih)
+      times that of (i, h) minus (T_ij / T_jh) times that of (j, h).
+    * M: a new pair (i, h) gets none when the term T_kh of another new
+      pair divides T_ih; then T_ik | T_ih too, and its S-syzygy is
+      (T_ih / T_kh) times that of (k, h) plus (T_ih / T_ik) times that
+      of (i, k).
+    * F: of new pairs with equal terms, the lowest index keeps it.
+
+    B needs its strictness: were T_ih = T_ij, M could drop (i, h) for
+    (j, h), resting on the (i, j) that B dropped for (i, h).  Every
+    criterion divides terms, coefficients included: with the monomials
+    alone the quotients need not be integers, and the engine loses
+    basis elements
     (``test_chain_criterion_needs_the_coefficient_condition``).  The
     product criterion for coprime leading monomials is unsound over Z
     (for 3*t2 and 3*t1^2 - t2 it would miss t2^2) and is not used.  The
@@ -119,11 +128,13 @@ def strong_groebner(gens) -> list[Poly]:
     the other, in which case it is a plain monomial multiple of a basis
     element.
 
-    Pairs wait in a heap under the normal strategy: smallest lcm of the
-    two leading monomials first, ties broken by creation order (the
-    generator pairs in ``itertools.combinations`` order, then each new
-    element's pairs with the older ones by index).  Each pair is keyed
-    once, when it is made, and every pair is eventually popped.
+    A pair goes on the heap only if it needs its S- or gcd-polynomial.
+    Under the normal strategy the smallest lcm of the two leading
+    monomials comes first, ties broken by creation order: each element's
+    pairs with the older ones by index, made when it is appended,
+    generators included.  Each pair is keyed once, when it is made; one
+    that B strips keeps its key and yields only its gcd-polynomial, if
+    any.
 
     It runs on packed monomials (see ``poly``), packing ``gens`` once and
     unpacking the basis once.  A generator or pair lcm of degree above
@@ -131,55 +142,54 @@ def strong_groebner(gens) -> list[Poly]:
     exceeds the lcm's degree, so no exponent outgrows its field.
     """
     leads: list[tuple[int, int, poly.PackedPoly]] = []  # (LM, LC, g) per element
+    # (packed lcm, creation counter, i, j, lc) per pair, i < j, with
+    # lc = lcm(LC_i, LC_j), or 0 once the pair needs no S-polynomial.
+    queue: list[tuple] = []
+    counter = itertools.count()
 
     def append(g) -> None:
         m, c = leading_term(g)
         if c < 0:
             g, c = poly.neg(g), -c
+        # T_kh of each new pair (k, h), as (lcm(LM_k, m), lcm(LC_k, c)).
+        terms = [(poly.lcm(mk, m), math.lcm(ck, c)) for mk, ck, _ in leads]
+        if terms and max(terms)[0] >= poly.DEGREE_BOUND:
+            raise ValueError(f"S-pair of degree above {poly.MAX_EXP}")
+        # B.  The key stays, so the heap stays ordered.
+        for pos, (lcm, n, i, j, lc) in enumerate(queue):
+            if (
+                lc
+                and lc % c == 0
+                and ((m | GUARD) - lcm) & GUARD == GUARD  # poly.divides(m, lcm)
+                and terms[i] != (lcm, lc) != terms[j]
+            ):
+                queue[pos] = (lcm, n, i, j, 0)
+        # M and F: a term's divisors come before it in (lcm, lc, k) order,
+        # equal terms by index, and dividing is transitive, so testing the
+        # terms kept so far suffices.
+        kept: dict[int, tuple[int, int]] = {}
+        for lcm, lc, k in sorted((*t, k) for k, t in enumerate(terms)):
+            if not any(
+                lc % c2 == 0 and ((m2 | GUARD) - lcm) & GUARD == GUARD
+                for m2, c2 in kept.values()
+            ):
+                kept[k] = (lcm, lc)
+        h = len(leads)
         leads.append((m, c, g))
+        for k, (lcm, lc) in enumerate(terms):
+            lc = lc if k in kept else 0
+            if lc or (leads[k][1] % c and c % leads[k][1]):
+                heapq.heappush(queue, (lcm, next(counter), k, h, lc))
 
     for g in gens:
         g = normal_form(poly.pack_poly(g), leads)
         if g:
             append(g)
-    queue: list[tuple] = []  # (packed lcm, creation counter, i, j)
-    pending: set[tuple[int, int]] = set()  # the (i, j) in the queue, i < j
-    counter = itertools.count()
-
-    def push(i: int, j: int) -> None:
-        lcm = poly.lcm(leads[i][0], leads[j][0])
-        if lcm >= poly.DEGREE_BOUND:
-            raise ValueError(f"S-pair of degree above {poly.MAX_EXP}")
-        heapq.heappush(queue, (lcm, next(counter), i, j))
-        pending.add((i, j))
-
-    def chained(i: int, j: int, lcm: int, lc: int) -> bool:
-        # Buchberger's chain criterion on the full term lcm: some k other
-        # than i and j has LT_k | lc * lcm, and (i, k) and (j, k) are done.
-        # Newer elements come first, as they find such a k sooner.
-        for k in reversed(range(len(leads))):
-            mk, ck, _ = leads[k]
-            if (
-                ((mk | GUARD) - lcm) & GUARD == GUARD  # poly.divides(mk, lcm)
-                and lc % ck == 0
-                and k != i
-                and k != j
-                and (min(i, k), max(i, k)) not in pending
-                and (min(j, k), max(j, k)) not in pending
-            ):
-                return True
-        return False
-
-    for i, j in itertools.combinations(range(len(leads)), 2):
-        push(i, j)
     while queue:
-        lcm, _, i, j = heapq.heappop(queue)
-        pending.remove((i, j))
+        lcm, _, i, j, lc = heapq.heappop(queue)
         (mi, ci, gi), (mj, cj, gj) = leads[i], leads[j]
-        g, s, t = xgcd(ci, cj)
-        lc = ci // g * cj
         candidates = []
-        if not chained(i, j, lcm, lc):
+        if lc:
             candidates.append(
                 poly.sub(
                     poly.term_mul(gi, lcm - mi, lc // ci),
@@ -187,6 +197,7 @@ def strong_groebner(gens) -> list[Poly]:
                 )
             )
         if ci % cj and cj % ci:
+            _, s, t = xgcd(ci, cj)
             candidates.append(
                 poly.add(poly.term_mul(gi, lcm - mi, s), poly.term_mul(gj, lcm - mj, t))
             )
@@ -194,8 +205,6 @@ def strong_groebner(gens) -> list[Poly]:
             h = normal_form(cand, leads)
             if h:
                 append(h)
-                for k in range(len(leads) - 1):
-                    push(k, len(leads) - 1)
     # Interreduce: drop elements whose leading term another one divides,
     # and reduce the tails of the rest by the others.
     reduced = []
