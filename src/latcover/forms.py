@@ -8,6 +8,7 @@ sum c_i X^(d-i) Y^i.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -136,24 +137,32 @@ def _element(name: str, m: RatMat2) -> GroupElement:
     return GroupElement(name, m, m.order())
 
 
-def dihedral_groups() -> tuple[list[GroupElement], list[GroupElement]]:
+@functools.cache
+def dihedral_groups() -> tuple[tuple[GroupElement, ...], tuple[GroupElement, ...]]:
     """The groups generated by S, R and by S, -R as explicit 6- and
-    12-element lists."""
-    d3 = [
+    12-element tuples, built once per process."""
+    d3 = (
         _element("id", RatMat2.identity()),
         _element("R", R_MAT),
         _element("R2", R_MAT @ R_MAT),
         _element("S", S_MAT),
         _element("RS", R_MAT @ S_MAT),
         _element("R2S", R_MAT @ R_MAT @ S_MAT),
-    ]
-    d6 = d3 + [_element("-" + g.name, -g.matrix) for g in d3]
+    )
+    d6 = d3 + tuple(_element("-" + g.name, -g.matrix) for g in d3)
     return d3, d6
+
+
+def _conjugate_all(t: RatMat2, group) -> list[GroupElement]:
+    """T^-1 g T for each g of ``group``, inverting T once; the order is
+    invariant under conjugation."""
+    t_inv = t.inverse()
+    return [GroupElement(g.name, t_inv @ g.matrix @ t, g.order) for g in group]
 
 
 def conjugate(t: RatMat2, g: GroupElement) -> GroupElement:
     """T^-1 g T; the order is invariant under conjugation."""
-    return GroupElement(g.name, t.inverse() @ g.matrix @ t, g.order)
+    return _conjugate_all(t, [g])[0]
 
 
 def _is_half_odd(x: Fraction) -> bool:
@@ -195,7 +204,7 @@ def extraordinary_by_C3(f: BinaryForm, t: RatMat2, variant: str = "d3") -> bool:
     group = {"d3": d3, "d6": d6}.get(variant.lower())
     if group is None:
         raise ValueError("variant must be 'd3' or 'd6'")
-    conjugated = [conjugate(t, g) for g in group]
+    conjugated = _conjugate_all(t, group)
     for g in conjugated:
         if not is_automorphism(f, g.matrix):
             raise ValueError(
@@ -340,11 +349,33 @@ def _box_values(f: BinaryForm, radius: int) -> dict[int, tuple[int, int]]:
     return values
 
 
+def _box_value_set(f: BinaryForm, radius: int) -> set[int]:
+    """The values of ``f`` on the box |x|, |y| <= radius, evaluated a
+    whole row at a time by Horner's rule in y.  Only the rows x >= 0 are
+    evaluated: F(-x, -y) = (-1)^d F(x, y), so the rows x < 0 take the
+    values of the rows x > 0, negated when the degree d is odd."""
+    box = range(-radius, radius + 1)
+    values: set[int] = set()
+    for x in range(radius + 1):
+        top, *rest = _row(f.coeffs, x)
+        row = [top] * len(box)
+        for r in rest:
+            row = [acc * y + r for acc, y in zip(row, box)]
+        values.update(row)
+    if f.degree % 2:
+        values.update([-v for v in values])
+    return values
+
+
 def cross_value_check(
     f: BinaryForm, g: BinaryForm, n: int = 10, m: int | None = None
 ) -> CompareReport:
     """Search, in both directions, for values of one form on the box
-    |x|, |y| <= n missed by the other form on the box |x|, |y| <= m."""
+    |x|, |y| <= n missed by the other form on the box |x|, |y| <= m.
+
+    The radius-n boxes keep each value's first point, the witness a
+    report gives; the radius-m boxes are only searched, so they are
+    built as value sets, from the half box x >= 0."""
     if not (f.is_integral() and g.is_integral()):
         raise ValueError("value-set comparison requires integral forms")
     if m is None:
@@ -354,7 +385,7 @@ def cross_value_check(
     # Integral forms take integer values: evaluate on int coefficients.
     f, g = (BinaryForm(tuple(map(int, h.coeffs))) for h in (f, g))
     f_small, g_small = _box_values(f, n), _box_values(g, n)
-    f_big, g_big = _box_values(f, m), _box_values(g, m)
+    f_big, g_big = _box_value_set(f, m), _box_value_set(g, m)
     unmatched_f = [
         ValueWitness(v, pt) for v, pt in sorted(f_small.items())
         if v not in g_big

@@ -11,6 +11,7 @@ reducing the constant against a strong Groebner basis over Z.
 
 from __future__ import annotations
 
+import functools
 import heapq
 import itertools
 import math
@@ -216,7 +217,9 @@ def strong_groebner(gens) -> list[Poly]:
         ):
             rest = dict(g)
             del rest[m]
-            rest = normal_form(rest, leads[:i] + leads[i + 1:])
+            # No tail term is divisible by m, the largest monomial of g,
+            # so g itself never reduces its own tail.
+            rest = normal_form(rest, leads)
             rest[m] = c
             reduced.append(rest)
     reduced.sort(key=lambda p: leading_term(p)[0])
@@ -311,6 +314,29 @@ def verify_all(bases) -> list[Verdict]:
     return verdicts
 
 
+@functools.cache
+def _mod7_points() -> tuple[tuple[tuple[int, ...], ...], int]:
+    """The 400 nonzero tuples mod 7 whose first nonzero entry is 1, and
+    the bitmask over them of the tuples that meet the triples' side
+    conditions (t1, t3) != 0 and (t2, t4) != 0."""
+    points = tuple(
+        (0,) * k + (1,) + rest
+        for k in range(4)
+        for rest in itertools.product(range(7), repeat=3 - k)
+    )
+    side = sum(1 << k for k, t in enumerate(points) if (t[0] or t[2]) and (t[1] or t[3]))
+    return points, side
+
+
+@functools.lru_cache(maxsize=32)
+def _mod7_zeros(element: str, row: int) -> int:
+    """The zeros mod 7 of ``COEFF_POLYS[element][row]`` among the points
+    of ``_mod7_points()``, as a bitmask over them."""
+    points, _ = _mod7_points()
+    values = poly.evaluate_column(poly.expand(COEFF_POLYS[element][row]), points)
+    return sum(1 << k for k, v in enumerate(values) if v % 7 == 0)
+
+
 def has_common_zero_mod7(system_elements, kind: str) -> bool:
     """Finite-field cross-check: search (Z/7)^4 for a tuple killing the
     relevant coefficient polynomials while satisfying the gcd side
@@ -326,23 +352,21 @@ def has_common_zero_mod7(system_elements, kind: str) -> bool:
     for c*t whenever they hold for t, for any unit c mod 7.  A common
     zero t therefore gives one, c*t, whose first nonzero entry is 1, so
     only those 400 of the 2,400 nonzero tuples are tried.
+
+    The 20 systems share 20 polynomials, so each one's zero set among
+    the 400 tuples is computed once per process, as a bitmask; a
+    system's common zeros are the AND of its polynomials' masks and, for
+    a triple, the mask of its side conditions.
     """
+    points, side = _mod7_points()
     if kind == "pair":
-        polys = [q for e in system_elements for q in COEFF_POLYS[e]]
+        rows = [(e, r) for e in system_elements for r in range(4)]
+        mask = (1 << len(points)) - 1
     elif kind == "triple":
-        polys = [COEFF_POLYS[e][0] for e in system_elements]
+        rows = [(e, 0) for e in system_elements]
+        mask = side
     else:
         raise ValueError(f"unknown system kind {kind!r}")
-    # The nonzero tuples whose first nonzero entry is 1.
-    candidates = [
-        (0,) * k + (1,) + rest
-        for k in range(4)
-        for rest in itertools.product(range(7), repeat=3 - k)
-    ]
-    if kind == "triple":
-        candidates = [t for t in candidates if (t[0] or t[2]) and (t[1] or t[3])]
-    # Keep the common zeros of the polynomials seen so far.
-    for q in polys:
-        terms = poly.expand(q)
-        candidates = [t for t in candidates if poly.evaluate_terms(terms, t) % 7 == 0]
-    return bool(candidates)
+    for e, r in rows:
+        mask &= _mod7_zeros(e, r)
+    return bool(mask)

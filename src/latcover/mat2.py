@@ -75,9 +75,9 @@ class RatMat2:
 
     def order(self):
         """Multiplicative order, or None if it exceeds :data:`MAX_ORDER`."""
-        acc = self
+        one, acc = RatMat2.identity(), self
         for n in range(1, MAX_ORDER + 1):
-            if acc == RatMat2.identity():
+            if acc == one:
                 return n
             acc = acc @ self
         return None

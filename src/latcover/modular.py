@@ -9,15 +9,23 @@ the one definition the Groebner certificates reduce as well.  The scans
 below exhaustively check the claimed bounds on the number of equivalence
 classes of these coefficient pairs over small moduli; the mod-9 scan of
 four quadratic forms reads bottom-left entries of the same table.
+
+Each scan lists its residue tuples first and evaluates each polynomial
+over the whole column of them (``poly.evaluate_column``).  A pair's
+class is read as one key from a table of the n^2 residue pairs, built
+once per process for each modulus up to 9; the key of a low-order pair
+is None.
 """
 
 from __future__ import annotations
 
+import functools
+import itertools
 import math
 from dataclasses import dataclass, field
 
 from .groebner import COEFF_POLYS, ELEMENT_NAMES
-from .poly import evaluate_terms, expand
+from .poly import evaluate_column, expand
 
 #: Exceptional residue tuples mod 3: all five non-identity coefficient
 #: pairs vanish exactly on these.
@@ -35,28 +43,65 @@ TRIPLE_VANISHING_TUPLES = (
 )
 
 
-#: The first-row polynomials (top1, top2) of the five non-identity
-#: elements in ``ELEMENT_NAMES`` order, expanded once for evaluation.
-_TOP_TERMS = tuple(
-    (expand(COEFF_POLYS[e][0]), expand(COEFF_POLYS[e][1])) for e in ELEMENT_NAMES
-)
+#: The ten first-row polynomials top1, top2 of the five non-identity
+#: elements, in ``ELEMENT_NAMES`` order, expanded once for evaluation.
+_TOP_TERMS = tuple(expand(COEFF_POLYS[e][k]) for e in ELEMENT_NAMES for k in (0, 1))
 
 
 #: The bottom-left polynomials of R, S, RS and R2S, expanded once.
 _QUADRATIC_TERMS = tuple(expand(COEFF_POLYS[e][2]) for e in ("R", "S", "RS", "R2S"))
 
 
-def _top_rows(t):
-    """The first-row coefficient pairs (top1, top2) of the five
-    non-identity elements at ``t``, in ``ELEMENT_NAMES`` order."""
-    return [(evaluate_terms(a, t), evaluate_terms(b, t)) for a, b in _TOP_TERMS]
+def _top_rows(points) -> list[tuple[int, ...]]:
+    """The ten first-row values at each of ``points``, each polynomial
+    evaluated over the whole column of points at once."""
+    return list(zip(*(evaluate_column(terms, points) for terms in _TOP_TERMS)))
+
+
+def _pairs_mod(row, n: int) -> tuple[tuple[int, int], ...]:
+    """The six (p1, p2) coefficient pairs mod n of one row of ten
+    first-row values, identity first."""
+    values = iter([v % n for v in row])
+    return ((1 % n, 0), *zip(values, values))
 
 
 def top_pairs(t, n: int):
     """The six (p1, p2) coefficient pairs mod n, identity first."""
-    pairs = [(1 % n, 0)]
-    pairs.extend((p1 % n, p2 % n) for p1, p2 in _top_rows(t))
-    return tuple(pairs)
+    return _pairs_mod(_top_rows([t])[0], n)
+
+
+def _class_key(p: int, q: int, n: int, units) -> tuple[int, int] | None:
+    """The unit-scaling class of the pair (p, q) mod n, named by its
+    least unit multiple ``min((k*p % n, k*q % n) for k in units)``, or
+    None when the pair is low-order: both coordinates share a factor
+    with the modulus."""
+    if math.gcd(p, n) != 1 and math.gcd(q, n) != 1:
+        return None
+    return min([(k * p % n, k * q % n) for k in units])
+
+
+def _units(n: int) -> list[int]:
+    return [k for k in range(n) if math.gcd(k, n) == 1]
+
+
+#: The moduli whose class keys are tabulated: those of every scan.
+_TABULATED = range(1, 10)
+
+
+@functools.cache
+def _key_table(n: int) -> tuple:
+    """The class key of every residue pair (p, q) mod n, at p*n + q; n
+    lies in ``_TABULATED``, so the memo holds at most 285 keys."""
+    units = _units(n)
+    return tuple(_class_key(p, q, n, units) for p in range(n) for q in range(n))
+
+
+def _class_keys(pairs, n: int) -> list:
+    if n in _TABULATED:
+        table = _key_table(n)
+        return [table[p % n * n + q % n] for p, q in pairs]
+    units = _units(n)
+    return [_class_key(p, q, n, units) for p, q in pairs]
 
 
 def class_count(pairs, n: int) -> int:
@@ -71,21 +116,14 @@ def class_count(pairs, n: int) -> int:
     multiple of a low-order one, and this is the count of pairs that are
     low-order or not a unit multiple of an earlier pair in the list.
     """
-    units = [k for k in range(n) if math.gcd(k, n) == 1]
-    low = 0
-    keys = set()
-    for p, q in pairs:
-        if math.gcd(p, n) != 1 and math.gcd(q, n) != 1:
-            low += 1
-        else:
-            keys.add(min([(k * p % n, k * q % n) for k in units]))
-    return low + len(keys)
+    keys = _class_keys(pairs, n)
+    classes = set(keys)
+    classes.discard(None)
+    return keys.count(None) + len(classes)
 
 
 def low_order_count(pairs, n: int) -> int:
-    return sum(
-        1 for p, q in pairs if math.gcd(p, n) != 1 and math.gcd(q, n) != 1
-    )
+    return _class_keys(pairs, n).count(None)
 
 
 #: Pairs mod 4 whose presence among the unit-scaled full-order pairs is
@@ -159,24 +197,22 @@ def scan_pair_classes(x: int) -> ScanReport:
     z_violations = []
     mod4_shape_violations = []
     badness_violations = []
-    for t1 in range(x):
-        for t2 in range(x):
-            for t3 in range(x):
-                for t4 in range(x):
-                    t = (t1, t2, t3, t4)
-                    if math.gcd(t2, math.gcd(t4, x)) != 1:
-                        continue
-                    pairs = top_pairs(t, x)
-                    count = class_count(pairs, x)
-                    if count > 3:
-                        exceptional.append(t)
-                        if x == 4 and (2, 0) not in pairs:
-                            mod4_shape_violations.append(t)
-                    if low_order_count(pairs, x) > 1:
-                        z_violations.append(t)
-                    if x == 4 and math.gcd(t1, math.gcd(t3, 2)) == 1:
-                        if _badness(pairs) > 1:
-                            badness_violations.append(t)
+    points = [
+        t for t in itertools.product(range(x), repeat=4)
+        if math.gcd(t[1], math.gcd(t[3], x)) == 1
+    ]
+    for t, row in zip(points, _top_rows(points)):
+        pairs = _pairs_mod(row, x)
+        count = class_count(pairs, x)
+        if count > 3:
+            exceptional.append(t)
+            if x == 4 and (2, 0) not in pairs:
+                mod4_shape_violations.append(t)
+        if low_order_count(pairs, x) > 1:
+            z_violations.append(t)
+        if x == 4 and math.gcd(t[0], math.gcd(t[2], 2)) == 1:
+            if _badness(pairs) > 1:
+                badness_violations.append(t)
     report.exceptional = exceptional
     if x == 5:
         offending = {
@@ -194,8 +230,8 @@ def scan_pair_classes(x: int) -> ScanReport:
         offending = {
             "exceptional-set-matches": sorted(bad.symmetric_difference(exceptional)),
             "exceptional-pairs-all-zero": [
-                t for t in BAD_TUPLES_MOD3
-                if any(p != (0, 0) for p in top_pairs(t, 3)[1:])
+                t for t, row in zip(BAD_TUPLES_MOD3, _top_rows(BAD_TUPLES_MOD3))
+                if any(v % 3 for v in row)
             ],
             "low-order-at-most-1-outside-exceptional": [
                 t for t in z_violations if t not in bad
@@ -216,20 +252,15 @@ def scan_lifted_classes(rep) -> ScanReport:
         modulus=9,
         context={"rep": rep},
     )
+    points = [
+        tuple(3 * a + r for a, r in zip(lift, rep))
+        for lift in itertools.product(range(3), repeat=4)
+    ]
     violations = []
-    for a in range(3):
-        for b in range(3):
-            for c in range(3):
-                for d in range(3):
-                    t = (
-                        3 * a + rep[0], 3 * b + rep[1],
-                        3 * c + rep[2], 3 * d + rep[3],
-                    )
-                    pairs = [(1, 0)]
-                    for p1, p2 in _top_rows(t):
-                        pairs.append((p1 // 3 % 3, p2 // 3 % 3))
-                    if class_count(pairs, 3) > 3 or low_order_count(pairs, 3) > 1:
-                        violations.append(t)
+    for t, row in zip(points, _top_rows(points)):
+        pairs = _pairs_mod([v // 3 for v in row], 3)
+        if class_count(pairs, 3) > 3 or low_order_count(pairs, 3) > 1:
+            violations.append(t)
     return _settle(report, {"lifted-class-count-at-most-3": violations})
 
 
@@ -240,22 +271,17 @@ def scan_first_coefficient_vanishing() -> ScanReport:
     report = ScanReport(name="first-coefficient-vanishing", modulus=3)
     count5 = []
     bad_counts = []
-    for t1 in range(3):
-        for t2 in range(3):
-            for t3 in range(3):
-                for t4 in range(3):
-                    if math.gcd(t1, math.gcd(t3, 3)) != 1:
-                        continue
-                    if math.gcd(t2, math.gcd(t4, 3)) != 1:
-                        continue
-                    t = (t1, t2, t3, t4)
-                    zeros = sum(
-                        1 for p, _ in top_pairs(t, 3)[1:] if p == 0
-                    )
-                    if zeros in (3, 4):
-                        bad_counts.append(t)
-                    if zeros == 5:
-                        count5.append(t)
+    points = [
+        t for t in itertools.product(range(3), repeat=4)
+        if math.gcd(t[0], math.gcd(t[2], 3)) == 1
+        and math.gcd(t[1], math.gcd(t[3], 3)) == 1
+    ]
+    for t, row in zip(points, _top_rows(points)):
+        zeros = sum(1 for p in row[::2] if p % 3 == 0)
+        if zeros in (3, 4):
+            bad_counts.append(t)
+        if zeros == 5:
+            count5.append(t)
     report.exceptional = count5
     return _settle(report, {
         "count-in-0-1-2-5": bad_counts,
@@ -274,15 +300,17 @@ def scan_quadratic_forms_mod9() -> ScanReport:
     """
     report = ScanReport(name="quadratic-forms", modulus=9)
     a_zero, multiple = [], []
-    for u in range(9):
-        for v in range(9):
-            if math.gcd(u, math.gcd(v, 3)) != 1:
-                continue
-            values = [evaluate_terms(f, (u, 0, v, 0)) % 9 for f in _QUADRATIC_TERMS]
-            if values[0] == 0:
-                a_zero.append((u, v))
-            if values.count(0) > 1:
-                multiple.append((u, v))
+    points = [
+        (u, 0, v, 0) for u in range(9) for v in range(9)
+        if math.gcd(u, math.gcd(v, 3)) == 1
+    ]
+    columns = [evaluate_column(f, points) for f in _QUADRATIC_TERMS]
+    for (u, _, v, _), values in zip(points, zip(*columns)):
+        values = [f % 9 for f in values]
+        if values[0] == 0:
+            a_zero.append((u, v))
+        if values.count(0) > 1:
+            multiple.append((u, v))
     return _settle(report, {"A-nonzero": a_zero, "at-most-one-vanishes": multiple})
 
 

@@ -23,6 +23,9 @@ degrevlex reduction raises the degree.  ``add``, ``sub``, ``neg`` and
 
 from __future__ import annotations
 
+import itertools
+import operator
+
 VARS = ("t1", "t2", "t3", "t4", "u1", "u2", "u3", "u4")
 NVARS = len(VARS)
 
@@ -146,20 +149,27 @@ def mul(p: Poly, q: Poly) -> Poly:
 def expand(p: Poly) -> tuple[tuple[int, tuple[int, ...]], ...]:
     """``p`` as (coeff, variable indices) terms, one index per unit of
     degree: t1*t2^2 becomes (c, (0, 1, 1)).  Evaluate with
-    :func:`evaluate_terms`."""
+    :func:`evaluate_column`."""
     return tuple(
         (c, tuple(i for i, e in enumerate(m) for _ in range(e)))
         for m, c in p.items()
     )
 
 
-def evaluate_terms(terms, point) -> int:
-    """The value at ``point`` of the :func:`expand` terms ``terms``."""
-    total = 0
+def evaluate_column(terms, points) -> list[int]:
+    """The values at each of ``points`` of the :func:`expand` terms
+    ``terms``, taken a term at a time over the whole column: a term's
+    product runs down the columns of its variables, then adds into the
+    running totals."""
+    if not points:
+        return []
+    cols = list(zip(*points))
+    total = [0] * len(points)
     for c, idx in terms:
+        term = itertools.repeat(c)
         for i in idx:
-            c *= point[i]
-        total += c
+            term = map(operator.mul, term, cols[i])
+        total = list(map(operator.add, total, term))
     return total
 
 
@@ -167,7 +177,7 @@ def evaluate(p: Poly, point) -> int:
     """The value of ``p`` at ``point``, the values of the leading
     variables in order (t1, t2, ...).  Variables past ``point`` must not
     occur in ``p``."""
-    return evaluate_terms(expand(p), point)
+    return evaluate_column(expand(p), [point])[0]
 
 
 def leading_term(p: PackedPoly) -> tuple[int, int]:

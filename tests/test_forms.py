@@ -13,6 +13,7 @@ from latcover.forms import (
     S_MAT,
     SEXTIC_CONJUGATOR,
     BinaryForm,
+    _box_value_set,
     _box_values,
     compose,
     conjugate,
@@ -339,6 +340,20 @@ def test_box_values_match_pointwise(f, radius):
             want.setdefault(evaluate(f, x, y), (x, y))
     got = _box_values(f, radius)
     assert list(got.items()) == list(want.items())
+    assert all(type(v) is int for v in got)
+
+
+@given(integral_forms, st.integers(0, 6))
+@example(BinaryForm.of(1, 0, -2), 3)
+@example(BinaryForm.of(1, -1, 3, 2), 4)
+@settings(deadline=None)
+def test_box_value_set_matches_full_box(f, radius):
+    # The half box x >= 0, with the rows x < 0 taken by symmetry, gives
+    # the values of the whole box, for forms of odd and even degree.
+    f = BinaryForm(tuple(map(int, f.coeffs)))
+    box = range(-radius, radius + 1)
+    got = _box_value_set(f, radius)
+    assert got == {evaluate(f, x, y) for x in box for y in box}
     assert all(type(v) is int for v in got)
 
 

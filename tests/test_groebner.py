@@ -74,23 +74,38 @@ def test_swap_symmetry_exchanges_rows(t):
         assert bot_s == (s * top_t[1], s * top_t[0])
 
 
-@given(
-    st.dictionaries(
-        st.tuples(*(st.integers(0, 3) for _ in range(4))).map(
-            lambda e: e + (0,) * 4
-        ),
-        st.integers(-5, 5).filter(bool),
-        max_size=6,
-    ),
-    st.tuples(*(st.integers(-4, 4) for _ in range(4))),
+#: Polynomials in t1..t4 of degree at most 3 in each variable.
+t_polys = st.dictionaries(
+    st.tuples(*(st.integers(0, 3) for _ in range(4))).map(lambda e: e + (0,) * 4),
+    st.integers(-5, 5).filter(bool),
+    max_size=6,
 )
-def test_evaluate_matches_termwise_sum(p, t):
-    expected = sum(
+
+
+def _termwise(p, t):
+    return sum(
         c * t[0] ** m[0] * t[1] ** m[1] * t[2] ** m[2] * t[3] ** m[3]
         for m, c in p.items()
     )
+
+
+@given(t_polys, st.tuples(*(st.integers(-4, 4) for _ in range(4))))
+def test_evaluate_matches_termwise_sum(p, t):
+    expected = _termwise(p, t)
     assert poly.evaluate(p, t) == expected
-    assert poly.evaluate_terms(poly.expand(p), t) == expected
+    assert poly.evaluate_column(poly.expand(p), [t]) == [expected]
+
+
+@given(t_polys, st.lists(st.tuples(*(st.integers(-4, 4) for _ in range(4))), max_size=8))
+def test_evaluate_column_matches_evaluate_pointwise(p, points):
+    got = poly.evaluate_column(poly.expand(p), points)
+    assert got == [poly.evaluate(p, t) for t in points]
+    assert got == [_termwise(p, t) for t in points]
+
+
+def test_evaluate_column_on_no_points():
+    assert poly.evaluate_column(poly.expand(COEFF_POLYS["R"][0]), []) == []
+    assert poly.evaluate_column((), []) == []
 
 
 small_polys = st.lists(

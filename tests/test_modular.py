@@ -86,6 +86,48 @@ def test_class_count_matches_pairwise_definition(case):
     assert class_count(pairs, n) == _pairwise_class_count(pairs, n)
 
 
+@given(
+    st.sampled_from([1, 2, 3, 4, 5, 6, 9, 10, 12]).flatmap(
+        lambda n: st.tuples(
+            st.just(n),
+            st.lists(
+                st.tuples(st.integers(-2 * n, 2 * n), st.integers(-2 * n, 2 * n)),
+                max_size=6,
+            ),
+        )
+    )
+)
+def test_class_keys_on_unreduced_and_negative_pairs(case):
+    # Entries outside 0..n-1 read the same key as their residues, for the
+    # tabulated moduli (n <= 9) and the others alike.
+    n, pairs = case
+    assert class_count(pairs, n) == _pairwise_class_count(pairs, n)
+    assert low_order_count(pairs, n) == sum(
+        1 for p, q in pairs if math.gcd(p, n) != 1 and math.gcd(q, n) != 1
+    )
+
+
+def test_class_count_for_a_large_modulus_builds_no_table(monkeypatch):
+    from latcover import modular
+
+    tabulated = []
+    key_table = modular._key_table
+
+    def recording_key_table(n):
+        tabulated.append(n)
+        assert n < 100, f"would tabulate {n}**2 class keys"
+        return key_table(n)
+
+    monkeypatch.setattr(modular, "_key_table", recording_key_table)
+    n = 10**6
+    pairs = [(1, 0), (3, -n), (2, 4)]  # (3, -n) is 3 * (1, 0); (2, 4) is low-order
+    assert class_count(pairs, n) == 2
+    assert low_order_count(pairs, n) == 1
+    assert class_count(pairs, 5) == _pairwise_class_count(pairs, 5)
+    assert tabulated == [5]
+    assert key_table.cache_info().currsize <= len(modular._TABULATED)
+
+
 def test_scan_mod5_no_exceptions():
     report = scan_pair_classes(5)
     assert report.ok
