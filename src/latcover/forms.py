@@ -1,14 +1,14 @@
-"""Binary forms over Q with the GL2 action, the dihedral automorphism
-machinery, the half-integrality criterion for extraordinariness and a
-desk-scale value-set comparison.
+"""Binary forms over Q with the GL2 action, the generators of the
+dihedral automorphism groups, the half-integrality criterion for
+extraordinariness and a desk-scale value-set comparison.
 
 A form of degree d is stored as the coefficient vector (c0, ..., cd) of
-sum c_i X^(d-i) Y^i.
+sum c_i X^(d-i) Y^i.  Every evaluation goes through one kernel: the
+coefficients of F(x, Y), then Horner's rule in y along a row of y's.
 """
 
 from __future__ import annotations
 
-import functools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -65,21 +65,23 @@ class BinaryForm:
 F0 = BinaryForm.of(0, 1, 1, 0)  # X*Y*(X + Y)
 
 
-def _row(coeffs, x) -> list:
-    """The coefficients c_i * x^(d-i) of F(x, Y), highest power of Y first."""
-    return [c * x**k for k, c in enumerate(reversed(coeffs))]
+def _row_values(coeffs, x, ys) -> list:
+    """F(x, y) for each y of ``ys``: the coefficients c_i * x^(d-i) of
+    F(x, Y), highest power of Y first, then Horner's rule in y across
+    the whole row."""
+    top, *rest = [c * x**k for k, c in enumerate(reversed(coeffs))]
+    row = [top] * len(ys)
+    for r in rest:
+        row = [acc * y + r for acc, y in zip(row, ys)]
+    return row
 
 
 def evaluate(f: BinaryForm, x, y) -> int | Fraction:
-    """F(x, y) for integers or fractions x, y: the coefficients of
-    F(x, Y) in Y, then Horner's rule in y.
+    """F(x, y) for integers or fractions x, y: a row of one point.
 
     The result is an ``int`` when the coefficients and x, y are all
     ``int``, and a ``Fraction`` otherwise."""
-    acc, *rest = _row(f.coeffs, x)
-    for r in rest:
-        acc = acc * y + r
-    return acc
+    return _row_values(f.coeffs, x, (y,))[0]
 
 
 def _poly_mul(p: list[int], q: list[int]) -> list[int]:
@@ -122,47 +124,16 @@ def is_automorphism(f: BinaryForm, gamma: RatMat2) -> bool:
     return compose(f, gamma) == f
 
 
-@dataclass(frozen=True)
-class GroupElement:
-    name: str
-    matrix: RatMat2
-    order: int
-
-
 S_MAT = RatMat2.of(0, 1, 1, 0)
 R_MAT = RatMat2.of(0, 1, -1, -1)
 
-
-def _element(name: str, m: RatMat2) -> GroupElement:
-    return GroupElement(name, m, m.order())
-
-
-@functools.cache
-def dihedral_groups() -> tuple[tuple[GroupElement, ...], tuple[GroupElement, ...]]:
-    """The groups generated by S, R and by S, -R as explicit 6- and
-    12-element tuples, built once per process."""
-    d3 = (
-        _element("id", RatMat2.identity()),
-        _element("R", R_MAT),
-        _element("R2", R_MAT @ R_MAT),
-        _element("S", S_MAT),
-        _element("RS", R_MAT @ S_MAT),
-        _element("R2S", R_MAT @ R_MAT @ S_MAT),
-    )
-    d6 = d3 + tuple(_element("-" + g.name, -g.matrix) for g in d3)
-    return d3, d6
-
-
-def _conjugate_all(t: RatMat2, group) -> list[GroupElement]:
-    """T^-1 g T for each g of ``group``, inverting T once; the order is
-    invariant under conjugation."""
-    t_inv = t.inverse()
-    return [GroupElement(g.name, t_inv @ g.matrix @ t, g.order) for g in group]
-
-
-def conjugate(t: RatMat2, g: GroupElement) -> GroupElement:
-    """T^-1 g T; the order is invariant under conjugation."""
-    return _conjugate_all(t, [g])[0]
+#: Generators of D3 = <R, S> and D6 = <R, S, -1>, in the order a verdict
+#: checks them.  R has order 3; its powers R and R^2 are the only
+#: elements of order 3 in either group.
+GENERATORS = {
+    "d3": (("R", R_MAT), ("S", S_MAT)),
+    "d6": (("R", R_MAT), ("S", S_MAT), ("-id", -RatMat2.identity())),
+}
 
 
 def _is_half_odd(x: Fraction) -> bool:
@@ -196,24 +167,25 @@ def extraordinary_by_C3(f: BinaryForm, t: RatMat2, variant: str = "d3") -> bool:
     """Decide extraordinariness of a form whose automorphism group is
     the conjugate by ``t`` of the dihedral group named by ``variant``.
 
-    The supplied conjugation is verified elementwise; the form is
-    extraordinary iff some conjugated element of order 3 lands in one of
-    the four integrality shapes.
+    The automorphisms of ``f`` form a group, so the conjugation is
+    verified on the generators alone; the first that fails is named in
+    the error.  The form is extraordinary iff a conjugate of R or R^2
+    lands in one of the four integrality shapes.  T^-1 R^2 T is the
+    inverse (d -b; -c a) of the determinant-1 matrix T^-1 R T = (a b;
+    c d), which has a shape exactly when T^-1 R T has, so T^-1 R T
+    decides.
     """
-    d3, d6 = dihedral_groups()
-    group = {"d3": d3, "d6": d6}.get(variant.lower())
-    if group is None:
+    gens = GENERATORS.get(variant.lower())
+    if gens is None:
         raise ValueError("variant must be 'd3' or 'd6'")
-    conjugated = _conjugate_all(t, group)
-    for g in conjugated:
-        if not is_automorphism(f, g.matrix):
+    t_inv = t.inverse()
+    conjugates = {name: t_inv @ g @ t for name, g in gens}
+    for name, g in conjugates.items():
+        if not is_automorphism(f, g):
             raise ValueError(
-                f"conjugate of {g.name} is not an automorphism of the form"
+                f"conjugate of {name} is not an automorphism of the form"
             )
-    return any(
-        g.order == 3 and corollary_case(g.matrix) is not None
-        for g in conjugated
-    )
+    return corollary_case(conjugates["R"]) is not None
 
 
 def dagger(f: BinaryForm) -> BinaryForm:
@@ -340,28 +312,19 @@ def _box_values(f: BinaryForm, radius: int) -> dict[int, tuple[int, int]]:
     values: dict[int, tuple[int, int]] = {}
     box = range(-radius, radius + 1)
     for x in box:
-        top, *rest = _row(f.coeffs, x)
-        for y in box:
-            acc = top
-            for r in rest:
-                acc = acc * y + r
-            values.setdefault(acc, (x, y))
+        for y, v in zip(box, _row_values(f.coeffs, x, box)):
+            values.setdefault(v, (x, y))
     return values
 
 
 def _box_value_set(f: BinaryForm, radius: int) -> set[int]:
-    """The values of ``f`` on the box |x|, |y| <= radius, evaluated a
-    whole row at a time by Horner's rule in y.  Only the rows x >= 0 are
-    evaluated: F(-x, -y) = (-1)^d F(x, y), so the rows x < 0 take the
-    values of the rows x > 0, negated when the degree d is odd."""
+    """The values of ``f`` on the box |x|, |y| <= radius.  Only the rows
+    x >= 0 are evaluated: F(-x, -y) = (-1)^d F(x, y), so the rows x < 0
+    take the values of the rows x > 0, negated when the degree d is odd."""
     box = range(-radius, radius + 1)
     values: set[int] = set()
     for x in range(radius + 1):
-        top, *rest = _row(f.coeffs, x)
-        row = [top] * len(box)
-        for r in rest:
-            row = [acc * y + r for acc, y in zip(row, box)]
-        values.update(row)
+        values.update(_row_values(f.coeffs, x, box))
     if f.degree % 2:
         values.update([-v for v in values])
     return values
@@ -378,10 +341,14 @@ def cross_value_check(
     built as value sets, from the half box x >= 0."""
     if not (f.is_integral() and g.is_integral()):
         raise ValueError("value-set comparison requires integral forms")
-    if m is None:
+    default_m = m is None
+    if default_m:
         m = 6 * n
     if not (0 <= n <= MAX_BOX_RADIUS and 0 <= m <= MAX_BOX_RADIUS):
-        raise ValueError(f"box sizes must lie in 0..{MAX_BOX_RADIUS}, got {n} and {m}")
+        raise ValueError(
+            f"box sizes must lie in 0..{MAX_BOX_RADIUS}, got {n} and {m}"
+            + (" (m defaulted to 6*n)" if default_m else "")
+        )
     # Integral forms take integer values: evaluate on int coefficients.
     f, g = (BinaryForm(tuple(map(int, h.coeffs))) for h in (f, g))
     f_small, g_small = _box_values(f, n), _box_values(g, n)

@@ -1,4 +1,6 @@
-"""2x2 matrices over the rationals, exact throughout."""
+"""2x2 matrices over the rationals, exact throughout: products,
+negation, determinant and inverse, and the parsers of the CLI's
+number and matrix syntax."""
 
 from __future__ import annotations
 
@@ -10,10 +12,6 @@ from fractions import Fraction
 #: and matrices have entries of a few digits; the cap keeps a single entry
 #: from making the exact arithmetic downstream arbitrarily slow.
 MAX_NUMBER_LENGTH = 100
-
-#: Largest order :meth:`RatMat2.order` looks for.  A finite-order
-#: element of GL(2, Q) has order 1, 2, 3, 4 or 6, so this is ample.
-MAX_ORDER = 24
 
 _RATIONAL = re.compile(r"[+-]?(?:\d+(?:/\d+|\.\d*)?|\.\d+)", re.ASCII)
 
@@ -72,15 +70,6 @@ class RatMat2:
         if det == 0:
             raise ZeroDivisionError("matrix is singular")
         return RatMat2(self.d / det, -self.b / det, -self.c / det, self.a / det)
-
-    def order(self):
-        """Multiplicative order, or None if it exceeds :data:`MAX_ORDER`."""
-        one, acc = RatMat2.identity(), self
-        for n in range(1, MAX_ORDER + 1):
-            if acc == one:
-                return n
-            acc = acc @ self
-        return None
 
     def entries(self) -> tuple[Fraction, Fraction, Fraction, Fraction]:
         return (self.a, self.b, self.c, self.d)

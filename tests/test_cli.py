@@ -336,6 +336,24 @@ def test_form_compare_huge_box_exits_2(capsys):
     assert err.startswith("error:")
 
 
+def test_form_compare_names_the_defaulted_m(capsys):
+    # --n 40 alone asks for m = 240, a number the user never typed.
+    code, out, err = run(
+        capsys, "form", "compare", "--f", "0,1,1,0", "--g", "0,4,2,0", "--n", "40"
+    )
+    assert code == 2
+    assert out == ""
+    assert err == (
+        "error: box sizes must lie in 0..200, got 40 and 240 (m defaulted to 6*n)\n"
+    )
+    code, _, err = run(
+        capsys, "form", "compare", "--f", "0,1,1,0", "--g", "0,4,2,0",
+        "--n", "40", "--m", "240",
+    )
+    assert code == 2
+    assert err == "error: box sizes must lie in 0..200, got 40 and 240\n"
+
+
 @pytest.mark.parametrize("argv", [
     ("form", "check", "--coeffs"),
     ("form", "compare", "--n", "10", "--m", "60", "--g", "0,1,1,0", "--f"),

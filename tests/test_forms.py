@@ -16,11 +16,9 @@ from latcover.forms import (
     _box_value_set,
     _box_values,
     compose,
-    conjugate,
     corollary_case,
     cross_value_check,
     dagger,
-    dihedral_groups,
     discriminant,
     evaluate,
     extraordinary_by_C3,
@@ -121,33 +119,63 @@ def test_is_automorphism():
         is_automorphism(F0, RatMat2.of(1, 1, 1, 1))
 
 
-def test_dihedral_groups_structure():
-    d3, d6 = dihedral_groups()
-    assert len(d3) == 6 and len(d6) == 12
-    assert sorted(g.order for g in d3) == [1, 2, 2, 2, 3, 3]
-    assert {g.matrix for g in d3 if g.order == 3} == {R_MAT, R_MAT @ R_MAT}
-    assert {g.matrix for g in d6} == {g.matrix for g in d3} | {
-        -g.matrix for g in d3
-    }
-    # Closure under multiplication.
-    mats6 = {g.matrix for g in d6}
-    for a in mats6:
-        for b in mats6:
-            assert a @ b in mats6
-    mats3 = {g.matrix for g in d3}
-    for a in mats3:
-        for b in mats3:
-            assert a @ b in mats3
+IDENTITY = RatMat2.identity()
+
+
+def _order(m):
+    """Multiplicative order of ``m``, or None above 12."""
+    acc = m
+    for n in range(1, 13):
+        if acc == IDENTITY:
+            return n
+        acc = acc @ m
+    return None
+
+
+def _closure(gens):
+    """The group generated by the named matrices ``gens``, in
+    breadth-first order from the identity: (word, matrix) pairs, each
+    word the shortest product of generators, ties broken by generator
+    order."""
+    elements, frontier = {IDENTITY: "id"}, [("id", IDENTITY)]
+    while frontier:
+        nxt = []
+        for word, m in frontier:
+            for name, g in gens:
+                p = m @ g
+                if p not in elements:
+                    elements[p] = name if word == "id" else f"{word}*{name}"
+                    nxt.append((elements[p], p))
+        frontier = nxt
+    return [(word, m) for m, word in elements.items()]
+
+
+D3 = _closure([("R", R_MAT), ("S", S_MAT)])
+D6 = _closure([("R", R_MAT), ("S", S_MAT), ("-id", -IDENTITY)])
+#: A cubic that R fixes and S negates.
+G_ANTI = BinaryForm.of(-2, -3, 3, 2)
+
+
+def test_generator_closures():
+    # <R, S> and <R, S, -1> are D3 and D6, and R, R^2 are their only
+    # elements of order 3.
+    assert len(D3) == 6 and len(D6) == 12
+    assert sorted(_order(m) for _, m in D3) == [1, 2, 2, 2, 3, 3]
+    assert sorted(_order(m) for _, m in D6) == [1, 2, 2, 2, 2, 2, 2, 2, 3, 3, 6, 6]
+    assert {m for _, m in D6 if _order(m) == 3} == {R_MAT, R_MAT @ R_MAT}
+    assert {m for _, m in D6} == {m for _, m in D3} | {-m for _, m in D3}
+    for group in (D3, D6):
+        mats = {m for _, m in group}
+        assert all(a @ b in mats for a in mats for b in mats)
 
 
 def test_d3_stabilizes_f0():
-    d3, _ = dihedral_groups()
-    for g in d3:
-        assert is_automorphism(F0, g.matrix), g.name
+    for word, g in D3:
+        assert is_automorphism(F0, g), word
 
 
 def test_sextic_family_stable_under_conjugated_group():
-    _, d6 = dihedral_groups()
+    t = SEXTIC_CONJUGATOR
     rng = random.Random(3)
     seen = 0
     while seen < 20:
@@ -157,20 +185,20 @@ def test_sextic_family_stable_under_conjugated_group():
         except ValueError:
             continue
         seen += 1
-        for g in d6:
-            assert is_automorphism(f, conjugate(SEXTIC_CONJUGATOR, g).matrix)
+        for word, g in D6:
+            assert is_automorphism(f, t.inverse() @ g @ t), word
 
 
 def test_conjugate_properties():
-    d3, _ = dihedral_groups()
-    r = d3[1]
-    assert conjugate(RatMat2.identity(), r).matrix == R_MAT
+    assert IDENTITY.inverse() @ R_MAT @ IDENTITY == R_MAT
     t = parse_mat2("1/3,0;0,1")
-    m = conjugate(t, r).matrix
+    m = t.inverse() @ R_MAT @ t
     assert 3 in {e.denominator for e in m.entries()}
-    assert m.order() == 3
+    assert _order(m) == 3
     with pytest.raises(ZeroDivisionError):
-        conjugate(RatMat2.of(1, 1, 1, 1), r)
+        RatMat2.of(1, 1, 1, 1).inverse()
+    with pytest.raises(ZeroDivisionError):
+        extraordinary_by_C3(F0, RatMat2.of(1, 1, 1, 1), "d3")
 
 
 def test_corollary_case_classification():
@@ -183,11 +211,37 @@ def test_corollary_case_classification():
 
 
 def test_unimodular_conjugation_preserves_case_a():
-    d3, _ = dihedral_groups()
-    r = d3[1]
     for t in (parse_mat2("1,1;0,1"), parse_mat2("2,1;1,1"), parse_mat2("0,1;-1,0")):
-        assert corollary_case(conjugate(t, r).matrix) == "a"
-    assert corollary_case(conjugate(parse_mat2("1/3,0;0,1"), r).matrix) is None
+        assert corollary_case(t.inverse() @ R_MAT @ t) == "a"
+    t = parse_mat2("1/3,0;0,1")
+    assert corollary_case(t.inverse() @ R_MAT @ t) is None
+
+
+def _det_one(a, b, c):
+    """The matrix (a b; c d) with d chosen so that its determinant is 1."""
+    return RatMat2(a, b, c, (1 + b * c) / a)
+
+
+#: Denominators 1..4 make half-odd entries, and so the shapes b, c, d, common.
+small_rational = st.builds(Fraction, st.integers(-4, 4), st.integers(1, 4))
+conjugators = st.tuples(small_rational, small_rational, small_rational, small_rational).map(
+    lambda e: RatMat2.of(*e)
+)
+invertible = conjugators.filter(lambda t: t.det() != 0)
+
+
+@given(st.one_of(
+    st.builds(_det_one, small_rational.filter(bool), small_rational, small_rational),
+    invertible.map(lambda t: t.inverse() @ R_MAT @ t),
+))
+@example(parse_mat2("1,0;1/2,1"))
+@example(parse_mat2("1,1/2;0,1"))
+@example(parse_mat2("-1/2,-1/2;3/2,-1/2"))
+@example(parse_mat2("1/2,1/3;0,2"))
+def test_corollary_case_is_inverse_invariant(m):
+    # Why a verdict needs only T^-1 R T and not T^-1 R^2 T, its inverse.
+    assert m.det() == 1
+    assert (corollary_case(m) is None) == (corollary_case(m.inverse()) is None)
 
 
 def test_extraordinary_verdicts():
@@ -200,10 +254,79 @@ def test_extraordinary_verdicts():
 
 
 def test_extraordinary_rejects_bad_conjugation():
-    with pytest.raises(ValueError):
+    # The error names the first generator, in the order R, S, -id, whose
+    # conjugate is not an automorphism.
+    with pytest.raises(ValueError, match="^conjugate of R is not"):
         extraordinary_by_C3(F0, parse_mat2("2,0;0,1"), "d3")
-    with pytest.raises(ValueError):
-        extraordinary_by_C3(F0, RatMat2.identity(), "d5")
+    with pytest.raises(ValueError, match="^conjugate of S is not"):
+        extraordinary_by_C3(G_ANTI, IDENTITY, "d3")
+    with pytest.raises(ValueError, match="^conjugate of -id is not"):
+        extraordinary_by_C3(F0, IDENTITY, "d6")
+    with pytest.raises(ValueError, match="variant"):
+        extraordinary_by_C3(F0, IDENTITY, "d5")
+
+
+def _reference_verdict(f, t, variant):
+    """Extraordinariness decided on every element of the group: each
+    conjugate T^-1 g T, in breadth-first order, must be an automorphism
+    of ``f``, and some conjugate of order 3 must have an integrality
+    shape."""
+    t_inv = t.inverse()
+    conjugates = [(word, t_inv @ g @ t) for word, g in {"d3": D3, "d6": D6}[variant]]
+    for word, g in conjugates:
+        if compose(f, g) != f:
+            raise ValueError(f"conjugate of {word} is not an automorphism of the form")
+    return any(_order(g) == 3 and corollary_case(g) is not None for _, g in conjugates)
+
+
+def _outcome(fn, *args):
+    try:
+        return fn(*args)
+    except (ValueError, ZeroDivisionError) as exc:
+        return type(exc), str(exc)
+
+
+variants = st.sampled_from(["d3", "d6"])
+
+
+@st.composite
+def verdict_cases(draw):
+    """(form, conjugator, variant): F0 o T or (p F0 + q G_ANTI) o T with
+    conjugator T, the sextic (1, c) o T with conjugator C T, or a random
+    cubic or sextic."""
+    kind = draw(st.sampled_from(["f0", "rotation", "sextic", "random"]))
+    t = draw(invertible)
+    if kind == "f0":
+        return compose(F0, t), t, draw(variants)
+    if kind == "rotation":
+        p, q = draw(st.tuples(st.integers(-2, 2), st.integers(-2, 2)).filter(any))
+        f = BinaryForm.of(*(p * a + q * b for a, b in zip(F0.coeffs, G_ANTI.coeffs)))
+        return compose(f, t), t, draw(variants)
+    if kind == "sextic":
+        c = draw(st.integers(-4, 4))
+        return compose(sextic(1, c), t), SEXTIC_CONJUGATOR @ t, "d6"
+    coeffs = draw(st.sampled_from([4, 7]).flatmap(
+        lambda n: st.lists(st.integers(-3, 3), min_size=n, max_size=n).filter(any)
+    ))
+    return BinaryForm.of(*coeffs), draw(conjugators), draw(variants)
+
+
+@given(verdict_cases())
+@example((F0, IDENTITY, "d3"))
+@example((sextic(1, 0), SEXTIC_CONJUGATOR, "d6"))
+@example((BinaryForm.of(0, 1, 3, 0), parse_mat2("1/3,0;0,1"), "d3"))
+@example((F0, parse_mat2("2,0;0,1"), "d3"))
+@example((G_ANTI, IDENTITY, "d3"))
+@example((F0, IDENTITY, "d6"))
+@example((F0, RatMat2.of(0, 0, 0, 0), "d3"))
+@settings(deadline=None)
+def test_extraordinary_matches_whole_group_reference(case):
+    # Checking the generators gives the verdict, or the error message,
+    # of checking all 6 or 12 elements.
+    f, t, variant = case
+    assert _outcome(extraordinary_by_C3, f, t, variant) == _outcome(
+        _reference_verdict, f, t, variant
+    )
 
 
 @given(cubic_forms(), st.integers(-10, 10), st.integers(-10, 10))

@@ -34,14 +34,6 @@ def test_parse_rational_grammar():
         parse_rational("1/0")
 
 
-def test_orders():
-    r = RatMat2.of(0, 1, -1, -1)
-    assert r.order() == 3
-    assert (-r).order() == 6
-    assert RatMat2.identity().order() == 1
-    assert RatMat2.of(2, 0, 0, 1).order() is None
-
-
 @given(matrices)
 def test_inverse(m):
     if m.det() == 0:
