@@ -4,21 +4,21 @@ The search grows a 6-slot tuple of subgroups one forced point at a time:
 whenever the current union misses a point of the forcing list, that point
 is adjoined to one of the slots (only up to the first empty slot, which
 breaks slot-permutation symmetry) and the search recurses.  Recorded
-tuples cover Z^2; pruning and a partial-order filter then reduce them to
-the minimal coverings.
+tuples are then pruned, and a partial-order filter reduces them to the
+minimal coverings.
 
 Each search works on its own :class:`Search` tables, in which the 185
-subgroups it reaches are interned as small ints, so slot tuples, steps
-and memo keys are ints and int tuples.  Every id carries the bit mask of
-the forcing points its subgroup contains, so the union's mask is an OR of
-slot masks.  A union that misses a forcing point is not all of Z^2, so the
-exact covering test :func:`~latcover.lattices.is_cover` only runs on
-tuples whose mask is full, once per distinct multiset of rank-2 slots: the
-search tests 2,209 of them, all covers.  The tables live as long as the
-caller keeps the :class:`Search`: :func:`enumerate_minimal_coverings`
-dedupes and prunes the raw solutions as id tuples on them, and only the
-forcing-point masks, memoized by basis, outlive it.  :func:`prune` runs
-no exact test; it decides on the masks alone.
+subgroups it reaches are interned as small ints, so slot tuples and steps
+are ints and int tuples.  Every id carries the bit mask of the forcing
+points its subgroup contains, so the union's mask is an OR of slot masks.
+The search takes a full mask for a cover, as the forcing property allows,
+and runs no exact test.  :func:`raw_solutions` certifies its output
+instead: it prunes each distinct raw tuple once, on the masks, and runs
+the exact :func:`~latcover.lattices.is_cover` on each of the 101 distinct
+pruned forms.  A raw tuple's slots include its pruned form's, so this
+covers every raw tuple.  The tables live as long as the caller keeps the
+:class:`Search`; only the forcing-point masks, memoized by basis, outlive
+it.
 :func:`possible_predecessors` narrows the minimality filter's exact
 :func:`precedes` tests to the pairs a containment bitset allows.
 """
@@ -105,19 +105,17 @@ class Search:
     ``subgroups[i]`` is the subgroup with id i and ``masks[i]`` its
     forcing-point mask; id 0 is the zero subgroup.  ``steps`` maps
     ``i * len(FORCING_POINTS) + p`` to the id of subgroup i enlarged by
-    forcing point p, or to -1 when that is all of Z^2.  ``verdicts`` maps
-    the sorted ids of a tuple's rank-2 slots to its :func:`is_cover`
-    verdict.  ``solutions`` holds the id tuples that a
-    :func:`raw_solutions` call on these tables found.
+    forcing point p, or to -1 when that is all of Z^2.  ``solutions``
+    holds the id tuples that a :func:`raw_solutions` call on these tables
+    found, and ``pruned`` the set of their certified pruned forms.
     """
 
     def __init__(self):
         self.subgroups: list[Subgroup] = []
         self.masks: list[int] = []
-        self.rank2: list[bool] = []
         self.steps: dict[int, int] = {}
-        self.verdicts: dict[tuple[int, ...], bool] = {}
         self.solutions: list[tuple[int, ...]] = []
+        self.pruned: set[tuple[int, ...]] = set()
         self._ids: dict[tuple, int] = {}
         self.intern(ZERO)
 
@@ -128,7 +126,6 @@ class Search:
             i = self._ids[s.gens] = len(self.subgroups)
             self.subgroups.append(s)
             self.masks.append(_mask(s.gens))
-            self.rank2.append(s.rank == 2)
         return i
 
     def ids(self, t: CoveringTuple) -> tuple[int, ...]:
@@ -146,18 +143,6 @@ class Search:
         self.steps[i * len(FORCING_POINTS) + point_index] = j
         return j
 
-    def covers(self, ids) -> bool:
-        """Memoized :func:`is_cover` of a tuple of ids.
-
-        Calls ``is_cover`` through the module global, so a wrapper
-        installed there sees every miss.
-        """
-        key = tuple(sorted(filter(self.rank2.__getitem__, ids)))
-        verdict = self.verdicts.get(key)
-        if verdict is None:
-            verdict = self.verdicts[key] = is_cover(self.tuple_of(key))
-        return verdict
-
 
 def _children(search: Search, slots: tuple[int, ...], point_index: int):
     """One search step from the tuple of ids ``slots``.
@@ -166,9 +151,10 @@ def _children(search: Search, slots: tuple[int, ...], point_index: int):
     misses, as the lowest clear bit of the OR of the slot masks, then
     adjoins it to each slot in turn, up to the first zero slot, leaving
     out enlargements that are all of Z^2.  Returns a list of
-    ``(child, covers, next_index)`` in slot order.  ``covers`` is the
-    exact :func:`is_cover` verdict, which is only computed when the
-    child's union contains every forcing point: otherwise it is False.
+    ``(child, covers, next_index)`` in slot order.  ``covers`` is True
+    iff the child's union contains every forcing point, which by the
+    forcing property makes it a cover; :func:`raw_solutions` certifies
+    that on its output.
     """
     masks = search.masks
     covered = 0
@@ -191,8 +177,7 @@ def _children(search: Search, slots: tuple[int, ...], point_index: int):
             j = search.enlarge(i, point_index)
         if j >= 0:
             child = slots[:k] + (j,) + slots[k + 1:]
-            full = (covered | masks[j]) == _FULL_MASK
-            children.append((child, full and search.covers(child), point_index + 1))
+            children.append((child, (covered | masks[j]) == _FULL_MASK, point_index + 1))
     return children
 
 
@@ -227,13 +212,9 @@ def prune(t: CoveringTuple) -> CoveringTuple:
     the forcing property says nothing.  Runs :func:`_prune_ids` on a new
     :class:`Search`'s tables.
 
-    A wrong drop is not silent.  It yields a candidate that does not
-    cover, and every tuple below it in :func:`precedes` fails to cover
-    too.  That order is antisymmetric on pruned forms, so the minimality
-    filter of :func:`enumerate_minimal_coverings` keeps some non-covering
-    candidate, and the exact test of
-    :func:`~latcover.catalog.canonical_entry` makes building the catalog
-    raise ValueError.
+    A wrong drop is not silent.  It yields a pruned form that does not
+    cover, and the certification of :func:`raw_solutions`, which runs
+    the exact test on every distinct pruned form, raises ValueError.
     """
     if len(t) > SLOTS:
         raise ValueError(f"{len(t)} slots, more than {SLOTS}")
@@ -367,9 +348,10 @@ def _subtree(
 def _expand_frontier(min_tasks: int):
     """Breadth-first expansion of the search root into independent tasks.
 
-    Returns (solutions found so far, open tasks), as subgroup tuples.
-    Used to fan the search out over worker processes, each of which
-    interns the subgroups of its tasks anew.
+    Returns (solutions found so far, open tasks), as subgroup tuples;
+    a solution is a tuple whose mask is full.  Used to fan the search out
+    over worker processes, each of which interns the subgroups of its
+    tasks anew; the parent certifies the pooled solutions.
     """
     search = Search()
     solutions: list[tuple[int, ...]] = []
@@ -389,44 +371,57 @@ def _expand_frontier(min_tasks: int):
 def raw_solutions(
     workers: int = 1, *, search: Search | None = None
 ) -> list[CoveringTuple]:
-    """All covering tuples produced by the search from the empty tuple.
+    """All covering tuples produced by the search from the empty tuple,
+    certified: raises ValueError if one does not cover Z^2.
 
-    With ``workers > 1`` independent subtrees run in separate processes;
-    the combined list is identical to the sequential one up to order.
-    A ``search`` given is searched on in this process, so ``workers``
-    must then be 1, and its ``solutions`` are the id tuples of the
-    returned list, in order.
+    The search takes a tuple whose union contains every forcing point
+    for a cover.  The certification prunes each of the 4,295 distinct
+    raw tuples once with :func:`_prune_ids` and runs the exact
+    :func:`is_cover`, through the module global, on each of the 101
+    distinct pruned forms; a raw tuple's slots include those of its
+    pruned form, so every raw tuple is certified.  With ``workers > 1``
+    independent subtrees run in separate processes, and this process
+    interns and certifies the combined list, which is identical to the
+    sequential one up to order.  A ``search`` given is searched on in this process, so ``workers``
+    must then be 1; its ``solutions`` are the id tuples of the returned
+    list, in order, and ``pruned`` their pruned forms.
     """
-    if workers <= 1:
-        return _subtree((EMPTY_TUPLE, 0), search)
-    if search is not None:
+    if search is None:
+        search = Search()
+    elif workers > 1:
         raise ValueError("a search's tables live in one process; use workers=1")
-    from concurrent.futures import ProcessPoolExecutor
+    if workers <= 1:
+        out = _subtree((EMPTY_TUPLE, 0), search)
+    else:
+        from concurrent.futures import ProcessPoolExecutor
 
-    head, tasks = _expand_frontier(8 * workers)
-    with ProcessPoolExecutor(max_workers=workers) as pool:
-        for chunk in pool.map(_subtree, tasks):
-            head.extend(chunk)
-    return head
+        out, tasks = _expand_frontier(8 * workers)
+        with ProcessPoolExecutor(max_workers=workers) as pool:
+            for chunk in pool.map(_subtree, tasks):
+                out.extend(chunk)
+        search.solutions = list(map(search.ids, out))
+    keys = list(map(_slot_key, search.subgroups))
+    search.pruned = {_prune_ids(t, search.masks, keys) for t in set(search.solutions)}
+    for t in search.pruned:
+        if not is_cover(search.tuple_of(t)):
+            raise ValueError(f"{[s.gens for s in search.tuple_of(t)]} does not cover Z^2")
+    return out
 
 
 def enumerate_minimal_coverings() -> list[CoveringTuple]:
     """The minimal coverings of Z^2 by up to six subgroups.
 
-    Runs :func:`raw_solutions` once, on tables it keeps, and works on the
-    search's id tuples: prunes each distinct raw solution once to its
-    normal form with :func:`_prune_ids`, so that raw solutions differing
-    only in slot order meet in one candidate.  Only the distinct pruned
-    tuples become subgroup tuples again; it sorts them, then keeps only
-    those not preceded by another candidate.  Only the candidates
+    Runs :func:`raw_solutions` once, on tables it keeps, and takes as
+    candidates the distinct pruned forms it certified, in which raw
+    solutions differing only in slot order meet.  Only these become
+    subgroup tuples again; it sorts them, then keeps only those not
+    preceded by another candidate.  Only the candidates
     :func:`possible_predecessors` lists get the exact :func:`precedes`
     test.  The outcome does not depend on the traversal order.
     """
     search = Search()
     raw_solutions(search=search)
-    masks, keys = search.masks, list(map(_slot_key, search.subgroups))
-    pruned = {_prune_ids(t, masks, keys) for t in set(search.solutions)}
-    candidates = sorted(map(search.tuple_of, pruned), key=_canonical_sort_key)
+    candidates = sorted(map(search.tuple_of, search.pruned), key=_canonical_sort_key)
     listed = possible_predecessors(candidates)
     return [
         c for i, c in enumerate(candidates)

@@ -262,7 +262,7 @@ def is_cover(subgroups) -> bool:
     :data:`MAX_COVER_INDEX` is k computed before any row, and ValueError
     raised if the index wa * wb itself exceeds it; this cap check
     precedes every verdict but the one for a member equal to Z^2.  Keeps
-    no state between calls; the forcing search memoizes its own queries.
+    no state between calls.
     """
     members = [s.gens for s in subgroups if len(s.gens) == 2]
     if not members:

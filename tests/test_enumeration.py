@@ -285,13 +285,14 @@ def test_search_past_forcing_list_raises():
 @pytest.mark.parametrize("kept", [40, 80])
 def test_catalog_fails_on_a_forcing_list_that_does_not_force(monkeypatch, kept):
     # With a truncated list some union with a full mask does not cover;
-    # the search's exact test sends it past the list, and building the
-    # catalog must fail instead of returning entries.
+    # the search takes it for a cover, its pruned form does not cover
+    # either, and the certification must fail the catalog build instead
+    # of returning entries.
     monkeypatch.setattr(enumeration, "FORCING_POINTS", FORCING_POINTS[:kept])
     monkeypatch.setattr(enumeration, "_FULL_MASK", (1 << kept) - 1)
     enumeration._mask.cache_clear()
     try:
-        with pytest.raises(ForcingListExhausted):
+        with pytest.raises(ValueError, match="does not cover"):
             generate_catalog()
     finally:
         enumeration._mask.cache_clear()
@@ -310,26 +311,41 @@ def _count_is_cover(monkeypatch) -> Counter:
     return calls
 
 
-def test_each_search_starts_a_new_cover_memo(monkeypatch):
-    # The cover memo lives for one raw_solutions call, so a second call
-    # tests the same unions again: nothing is left in a process-wide memo.
+def test_search_and_prune_make_no_exact_test(monkeypatch):
+    # The search and prune decide on forcing-point masks alone.
+    calls = _count_is_cover(monkeypatch)
+    search = enumeration.Search()
+    raw = find_lattices(search, search.ids(EMPTY_TUPLE), 0)
+    assert len(raw) == 6131
+    assert calls["is_cover"] == 0
+    assert len({prune(t) for t in map(search.tuple_of, raw)}) == 101
+    assert calls["is_cover"] == 0
+
+
+def test_each_raw_solutions_call_certifies_101_pruned_forms(monkeypatch):
+    # One exact test per distinct pruned form, through the module global,
+    # in every call: nothing carries over between calls.
     calls = _count_is_cover(monkeypatch)
     for _ in range(2):
         calls.clear()
         raw_solutions()
-        assert calls["is_cover"] == 2209
+        assert calls["is_cover"] == 101
 
 
-def test_search_tests_2209_distinct_unions_and_prune_none(monkeypatch):
-    # The memo calls is_cover through the module global, so a wrapper
-    # there sees every miss; the search makes one per distinct union of
-    # rank-2 bases.  prune decides on forcing-point masks alone.
-    calls = _count_is_cover(monkeypatch)
-    raw = raw_solutions()
-    assert calls["is_cover"] == 2209
-    calls.clear()
-    assert len({prune(t) for t in raw}) == 101
-    assert calls["is_cover"] == 0
+@pytest.mark.parametrize("workers", [1, 2])
+def test_raw_solutions_fail_when_a_pruned_form_does_not_cover(monkeypatch, workers):
+    # The certification is the guard: one wrong verdict, on the pruned
+    # length-3 form, fails the call.  With workers the parent process
+    # certifies the pooled tuples, so the patch here applies.
+    target = prune(LENGTH3 + (ZERO,) * 3)
+    inner = enumeration.is_cover
+
+    def rejects_target(subgroups):
+        return tuple(subgroups) != target and inner(subgroups)
+
+    monkeypatch.setattr(enumeration, "is_cover", rejects_target)
+    with pytest.raises(ValueError, match="does not cover"):
+        raw_solutions(workers=workers)
 
 
 def test_pruned_raw_solutions_pinned():
