@@ -20,7 +20,7 @@ from .forms import (
     sextic,
 )
 from .groebner import certificate_bases, verify_all
-from .lattices import Subgroup, canonicalize, index, intersect, is_cover, lattice_of
+from .lattices import Subgroup, canonicalize, index, is_cover, lattice_of
 from .mat2 import RatMat2, parse_mat2
 from .modular import run_all_scans
 
@@ -39,7 +39,6 @@ __all__ = [
     "extraordinary_by_C3",
     "generate_catalog",
     "index",
-    "intersect",
     "is_cover",
     "lattice_of",
     "parse",

@@ -27,6 +27,12 @@ EXPECTED_COUNTS = {3: 1, 4: 4, 5: 9, 6: 40}
 #: count; the real catalog has 54.
 MAX_CATALOG_ENTRIES = 1000
 
+#: Longest catalog text :func:`parse` accepts, in characters, so that
+#: ``verify-catalog --in`` reads a bounded amount of any file.  The real
+#: catalog has 3,387 and its longest line 68; this allows 1000 characters
+#: for each of :data:`MAX_CATALOG_ENTRIES` lines.
+MAX_CATALOG_CHARS = 10**6
+
 #: Most comparable pairs the incomparability check lists in its detail.
 _SHOWN_PAIRS = 10
 
@@ -172,8 +178,11 @@ def parse(text: str) -> Catalog:
     """Parse the line format written by :func:`serialize`.
 
     Raises ValueError naming the offending line number on bad input,
-    including the line of an entry past :data:`MAX_CATALOG_ENTRIES`.
+    including the line of an entry past :data:`MAX_CATALOG_ENTRIES`, and
+    on text longer than :data:`MAX_CATALOG_CHARS`.
     """
+    if len(text) > MAX_CATALOG_CHARS:
+        raise ValueError(f"catalog text longer than {MAX_CATALOG_CHARS} characters")
     entries = []
     for lineno, line in enumerate(text.splitlines(), start=1):
         line = line.strip()

@@ -85,7 +85,7 @@ def _cmd_enumerate(args) -> int:
 def _cmd_verify_catalog(args) -> int:
     if args.infile:
         with open(args.infile) as fh:
-            cat = catalog_mod.parse(fh.read())
+            cat = catalog_mod.parse(fh.read(catalog_mod.MAX_CATALOG_CHARS + 1))
     else:
         cat = catalog_mod.generate_catalog()
     return _emit_checks(args, "verify-catalog", catalog_mod.verify_catalog(cat))

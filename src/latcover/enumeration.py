@@ -29,7 +29,6 @@ from functools import lru_cache
 
 from .lattices import (
     FULL,
-    INDEX_INFINITE,
     ZERO,
     Subgroup,
     adjoin,
@@ -248,10 +247,8 @@ def _prune_ids(
 
 def _slot_key(s: Subgroup):
     """(index, basis) of a subgroup, the order of the kept slots of a
-    pruned tuple; the index is computed inline for rank 2, as
-    :func:`~latcover.lattices.index` would."""
-    g = s.gens
-    return (g[0][0] * g[1][1] if len(g) == 2 else INDEX_INFINITE, g)
+    pruned tuple."""
+    return (index(s), s.gens)
 
 
 def precedes(a: CoveringTuple, b: CoveringTuple) -> bool:

@@ -10,8 +10,8 @@ basis, so equality of subgroups is plain equality of objects:
 For a rank-2 subgroup the index in Z^2 is a * b and membership of (x, y)
 amounts to b | y and a | (x - (y // b) * c).
 
-Intersections and :func:`lattice_of` are taken by duality, as canonical
-forms of integer multiples of duals (see :func:`_dual`).
+:func:`lattice_of` is taken by duality, as the canonical form of an
+integer multiple of a dual (see :func:`_dual`).
 """
 
 from __future__ import annotations
@@ -148,50 +148,18 @@ def _dual(m: Subgroup, n: int) -> Subgroup:
     return canonicalize([(n // p, -(n * r) // (p * q)), (0, n // q)])
 
 
-def intersect(p: Subgroup, q: Subgroup) -> Subgroup:
-    """Intersection of two subgroups, in canonical form.
-
-    For rank 2 it is (P* + Q*)*.  With N the lcm of the indices,
-    N P* and N Q* are integral, and so is N times the dual of their sum
-    N (P n Q)*, as N (P n Q)* contains N Z^2.
-    """
-    if p.rank == 0 or q.rank == 0:
-        return ZERO
-    if p.rank == 2 and q.rank == 2:
-        n = math.lcm(index(p), index(q))
-        return _dual(canonicalize(_dual(p, n).gens + _dual(q, n).gens), n)
-    if p.rank == 1 and q.rank == 1:
-        (ux, uy), = p.gens
-        (vx, vy), = q.gens
-        if ux * vy - uy * vx != 0:
-            return ZERO
-        d1 = math.gcd(ux, uy)
-        d2 = math.gcd(vx, vy)
-        k = d1 // math.gcd(d1, d2) * d2
-        return Subgroup(((ux // d1 * k, uy // d1 * k),))
-    if p.rank == 2:
-        p, q = q, p
-    # p has rank 1, q has rank 2: find the least k >= 1 with k * gen in q.
-    (gx, gy), = p.gens
-    (a, _), (c, b) = q.gens
-    k1 = b // math.gcd(b, gy)
-    t = k1 * gx - (k1 * gy // b) * c
-    m0 = a // math.gcd(a, t)
-    k0 = k1 * m0
-    return Subgroup(((k0 * gx, k0 * gy),))
-
-
 def adjoin(s: Subgroup, v: Vec2) -> Subgroup:
     """Canonical form of the subgroup generated by ``s`` and the point ``v``."""
     return canonicalize(s.gens + (tuple(v),))
 
 
-#: Largest intersection index :func:`is_cover` accepts.  The unions that
-#: the search and ``canonical_entry`` test peak at an index of 2,484 and
-#: the 54 catalog entries at 36, so this leaves wide margin, while one row
-#: mask stays at most 125 kB and the row loop well under a second.  Past
-#: it a single query would take minutes or exhaust memory, so such input
-#: is rejected instead.
+#: Largest intersection index :func:`is_cover` accepts.  The search makes
+#: no exact covering test; the package's own queries, on the 101 pruned
+#: forms that ``raw_solutions`` certifies and on the 54 catalog entries,
+#: peak at an index of 36.  So this leaves wide margin, while one row mask
+#: stays at most 125 kB and the row loop well under a second.  Past it a
+#: single query would take minutes or exhaust memory, so such input is
+#: rejected instead.
 MAX_COVER_INDEX = 10**6
 
 

@@ -65,11 +65,6 @@ def _pairs_mod(row, n: int) -> tuple[tuple[int, int], ...]:
     return ((1 % n, 0), *zip(values, values))
 
 
-def top_pairs(t, n: int):
-    """The six (p1, p2) coefficient pairs mod n, identity first."""
-    return _pairs_mod(_top_rows([t])[0], n)
-
-
 def _class_key(p: int, q: int, n: int, units) -> tuple[int, int] | None:
     """The unit-scaling class of the pair (p, q) mod n, named by its
     least unit multiple ``min((k*p % n, k*q % n) for k in units)``, or

@@ -173,13 +173,6 @@ def evaluate_column(terms, points) -> list[int]:
     return total
 
 
-def evaluate(p: Poly, point) -> int:
-    """The value of ``p`` at ``point``, the values of the leading
-    variables in order (t1, t2, ...).  Variables past ``point`` must not
-    occur in ``p``."""
-    return evaluate_column(expand(p), [point])[0]
-
-
 def leading_term(p: PackedPoly) -> tuple[int, int]:
     if not p:
         raise ValueError("zero polynomial has no leading term")

@@ -10,7 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from latcover.catalog import serialize
+from latcover.catalog import MAX_CATALOG_CHARS, serialize
 from latcover.cli import EX_USAGE, main
 from latcover.forms import MAX_BOX_RADIUS, MAX_DEGREE
 from latcover.mat2 import MAX_NUMBER_LENGTH
@@ -168,6 +168,19 @@ def test_verify_catalog_rejects_too_many_entries(capsys, tmp_path, catalog):
     assert code == 2
     assert out == ""
     assert err == "error: line 1001: more than 1000 catalog entries\n"
+
+
+def test_verify_catalog_rejects_overlong_file(capsys, tmp_path, catalog):
+    # The file is read up to one character past the cap, so a long input
+    # cannot exhaust memory; past the cap even the real catalog, padded
+    # with blank lines, is a data error.
+    text = serialize(catalog)
+    big = tmp_path / "big.cat"
+    big.write_text(text + "\n" * (MAX_CATALOG_CHARS + 1 - len(text)))
+    code, out, err = run(capsys, "verify-catalog", "--in", str(big))
+    assert code == 2
+    assert out == ""
+    assert err == f"error: catalog text longer than {MAX_CATALOG_CHARS} characters\n"
 
 
 def test_form_check(capsys):

@@ -391,9 +391,10 @@ def test_prune_rejects_more_than_six_slots():
 
 def test_catalog_fails_on_a_wrong_prune_drop(monkeypatch):
     # Dropping a slot of the length-3 candidate leaves two subgroups that
-    # do not cover.  No other candidate precedes them, so the minimality
-    # filter keeps them, and the exact test of canonical_entry rejects
-    # them.  The kernel works on ids, where id 0 is the zero subgroup.
+    # do not cover.  raw_solutions certifies every distinct pruned form
+    # with the exact test, so it raises before the minimality filter or
+    # canonical_entry sees them.  The kernel works on ids, where id 0 is
+    # the zero subgroup.
     inner = enumeration._prune_ids
 
     def drops_too_much(ids, masks, keys):

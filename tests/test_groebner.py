@@ -40,7 +40,9 @@ BOTTOM_SIGN = {"R": -1, "R2": 1, "S": 1, "RS": -1, "R2S": 1}
 
 def _rows(name, t):
     """The (top, bottom) coefficient pairs of ``name`` evaluated at t."""
-    p1, p2, q1, q2 = (poly.evaluate(q, t) for q in COEFF_POLYS[name])
+    p1, p2, q1, q2 = (
+        poly.evaluate_column(poly.expand(q), [t])[0] for q in COEFF_POLYS[name]
+    )
     return (p1, p2), (q1, q2)
 
 
@@ -91,15 +93,12 @@ def _termwise(p, t):
 
 @given(t_polys, st.tuples(*(st.integers(-4, 4) for _ in range(4))))
 def test_evaluate_matches_termwise_sum(p, t):
-    expected = _termwise(p, t)
-    assert poly.evaluate(p, t) == expected
-    assert poly.evaluate_column(poly.expand(p), [t]) == [expected]
+    assert poly.evaluate_column(poly.expand(p), [t]) == [_termwise(p, t)]
 
 
 @given(t_polys, st.lists(st.tuples(*(st.integers(-4, 4) for _ in range(4))), max_size=8))
-def test_evaluate_column_matches_evaluate_pointwise(p, points):
+def test_evaluate_column_matches_termwise_sum(p, points):
     got = poly.evaluate_column(poly.expand(p), points)
-    assert got == [poly.evaluate(p, t) for t in points]
     assert got == [_termwise(p, t) for t in points]
 
 
@@ -490,14 +489,13 @@ def _full_search_mod7(elements, kind):
         polys = [q for e in elements for q in COEFF_POLYS[e]]
     else:
         polys = [COEFF_POLYS[e][0] for e in elements]
-    for t in itertools.product(range(7), repeat=4):
-        if kind == "pair" and not any(t):
-            continue
-        if kind == "triple" and not ((t[0] or t[2]) and (t[1] or t[3])):
-            continue
-        if all(poly.evaluate(q, t) % 7 == 0 for q in polys):
-            return True
-    return False
+    points = [
+        t for t in itertools.product(range(7), repeat=4)
+        if (kind == "pair" and any(t))
+        or (kind == "triple" and (t[0] or t[2]) and (t[1] or t[3]))
+    ]
+    columns = [poly.evaluate_column(poly.expand(q), points) for q in polys]
+    return any(all(v % 7 == 0 for v in row) for row in zip(*columns))
 
 
 def test_projective_oracle_matches_full_search():

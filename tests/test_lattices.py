@@ -16,12 +16,12 @@ from latcover.lattices import (
     MAX_COVER_INDEX,
     ZERO,
     Subgroup,
+    _dual,
     adjoin,
     canonicalize,
     contains,
     density_sum,
     index,
-    intersect,
     is_cover,
     is_subgroup_of,
     lattice_of,
@@ -106,6 +106,42 @@ def test_index_and_membership():
     assert not contains(s, (1, 1))
     assert index(ZERO) == INDEX_INFINITE
     assert index(canonicalize([(1, 1)])) == INDEX_INFINITE
+
+
+# Reference intersection.  Folded over a union's members it gives the
+# period box that is_cover derives from their bases without it; the tests
+# below check it against brute force.
+def intersect(p: Subgroup, q: Subgroup) -> Subgroup:
+    """Intersection of two subgroups, in canonical form.
+
+    For rank 2 it is (P* + Q*)*.  With N the lcm of the indices,
+    N P* and N Q* are integral, and so is N times the dual of their sum
+    N (P n Q)*, as N (P n Q)* contains N Z^2.
+    """
+    if p.rank == 0 or q.rank == 0:
+        return ZERO
+    if p.rank == 2 and q.rank == 2:
+        n = math.lcm(index(p), index(q))
+        return _dual(canonicalize(_dual(p, n).gens + _dual(q, n).gens), n)
+    if p.rank == 1 and q.rank == 1:
+        (ux, uy), = p.gens
+        (vx, vy), = q.gens
+        if ux * vy - uy * vx != 0:
+            return ZERO
+        d1 = math.gcd(ux, uy)
+        d2 = math.gcd(vx, vy)
+        k = d1 // math.gcd(d1, d2) * d2
+        return Subgroup(((ux // d1 * k, uy // d1 * k),))
+    if p.rank == 2:
+        p, q = q, p
+    # p has rank 1, q has rank 2: find the least k >= 1 with k * gen in q.
+    (gx, gy), = p.gens
+    (a, _), (c, b) = q.gens
+    k1 = b // math.gcd(b, gy)
+    t = k1 * gx - (k1 * gy // b) * c
+    m0 = a // math.gcd(a, t)
+    k0 = k1 * m0
+    return Subgroup(((k0 * gx, k0 * gy),))
 
 
 @given(gens_lists, gens_lists)

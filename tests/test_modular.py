@@ -13,6 +13,8 @@ from latcover.modular import (
     BAD_TUPLES_MOD3,
     BAD_TUPLE_REPS,
     TRIPLE_VANISHING_TUPLES,
+    _pairs_mod,
+    _top_rows,
     class_count,
     low_order_count,
     run_all_scans,
@@ -20,11 +22,16 @@ from latcover.modular import (
     scan_lifted_classes,
     scan_pair_classes,
     scan_quadratic_forms_mod9,
-    top_pairs,
 )
-from latcover.poly import evaluate
+from latcover.poly import evaluate_column, expand
 
 tuples4 = st.tuples(*(st.integers(-30, 30) for _ in range(4)))
+
+
+def top_pairs(t, n):
+    """The six (p1, p2) coefficient pairs mod n at t, identity first, by
+    the row kernel the scans use."""
+    return _pairs_mod(_top_rows([t])[0], n)
 
 
 def test_identity_pair_is_first():
@@ -202,10 +209,10 @@ def test_quadratic_forms_are_the_coeff_polys_entries():
         "RS": lambda u, v: u * u + 2 * u * v,  # C
         "R2S": lambda u, v: v * v + 2 * u * v,  # D
     }
-    for u in range(-5, 6):
-        for v in range(-5, 6):
-            for e, form in forms.items():
-                assert evaluate(COEFF_POLYS[e][2], (u, 0, v, 0)) == form(u, v), e
+    points = [(u, 0, v, 0) for u in range(-5, 6) for v in range(-5, 6)]
+    for e, form in forms.items():
+        got = evaluate_column(expand(COEFF_POLYS[e][2]), points)
+        assert got == [form(u, v) for u, _, v, _ in points], e
 
 
 def test_failed_count_5_clause_names_the_missing_tuple(monkeypatch):
