@@ -153,7 +153,10 @@ def strong_groebner(gens) -> list[Poly]:
         if c < 0:
             g, c = poly.neg(g), -c
         # T_kh of each new pair (k, h), as (lcm(LM_k, m), lcm(LC_k, c)).
-        terms = [(poly.lcm(mk, m), math.lcm(ck, c)) for mk, ck, _ in leads]
+        if c == 1:
+            terms = [(poly.lcm(mk, m), ck) for mk, ck, _ in leads]
+        else:
+            terms = [(poly.lcm(mk, m), math.lcm(ck, c)) for mk, ck, _ in leads]
         if terms and max(terms)[0] >= poly.DEGREE_BOUND:
             raise ValueError(f"S-pair of degree above {poly.MAX_EXP}")
         # B.  The key stays, so the heap stays ordered.
@@ -170,10 +173,10 @@ def strong_groebner(gens) -> list[Poly]:
         # terms kept so far suffices.
         kept: dict[int, tuple[int, int]] = {}
         for lcm, lc, k in sorted((*t, k) for k, t in enumerate(terms)):
-            if not any(
-                lc % c2 == 0 and ((m2 | GUARD) - lcm) & GUARD == GUARD
-                for m2, c2 in kept.values()
-            ):
+            for m2, c2 in kept.values():
+                if lc % c2 == 0 and ((m2 | GUARD) - lcm) & GUARD == GUARD:
+                    break
+            else:
                 kept[k] = (lcm, lc)
         h = len(leads)
         leads.append((m, c, g))
@@ -192,16 +195,11 @@ def strong_groebner(gens) -> list[Poly]:
         candidates = []
         if lc:
             candidates.append(
-                poly.sub(
-                    poly.term_mul(gi, lcm - mi, lc // ci),
-                    poly.term_mul(gj, lcm - mj, lc // cj),
-                )
+                poly.combine(gi, lcm - mi, lc // ci, gj, lcm - mj, -(lc // cj))
             )
         if ci % cj and cj % ci:
             _, s, t = xgcd(ci, cj)
-            candidates.append(
-                poly.add(poly.term_mul(gi, lcm - mi, s), poly.term_mul(gj, lcm - mj, t))
-            )
+            candidates.append(poly.combine(gi, lcm - mi, s, gj, lcm - mj, t))
         for cand in candidates:
             h = normal_form(cand, leads)
             if h:

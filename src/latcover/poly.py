@@ -15,10 +15,12 @@ on packed polynomials instead, whose monomials are each one int
 Each 9-bit field holds 255 - e_i under a zero guard bit, so int order is
 degrevlex, the leading monomial is ``max(p)``, and k times m / lm is
 ``k + (m - lm)``.  Fields hold exponents up to MAX_EXP = 255: ``pack``
-rejects larger ones, and ``pack_poly`` rejects terms of degree above
-MAX_EXP, which bounds every exponent of every reduction of them, as no
-degrevlex reduction raises the degree.  ``add``, ``sub``, ``neg`` and
-``scale`` serve both key forms.
+rejects larger ones and any tuple that is not of length NVARS, and
+``pack_poly`` rejects terms of degree above MAX_EXP, which bounds every
+exponent of every reduction of them, as no degrevlex reduction raises
+the degree.  ``add``, ``sub``, ``neg`` and ``scale`` serve both key
+forms; ``divides``, ``lcm``, ``combine`` (the S- and gcd-polynomials),
+``leading_term`` and ``normal_form`` work on packed polynomials only.
 """
 
 from __future__ import annotations
@@ -55,13 +57,24 @@ def constant(c: int) -> Poly:
 
 
 def pack(m: Monomial) -> int:
-    if not all(0 <= e <= MAX_EXP for e in m):
+    if len(m) != NVARS:
+        raise ValueError(f"monomials have {NVARS} exponents, got {len(m)}: {m}")
+    a, b, c, d, e, f, g, h = m
+    # For integers, the OR lies in 0..MAX_EXP = 2**8 - 1 iff each does.
+    if not 0 <= a | b | c | d | e | f | g | h <= MAX_EXP:
         raise ValueError(f"exponents must lie in 0..{MAX_EXP}, got {m}")
-    return sum(m) << _DEG_SHIFT | sum((MAX_EXP - e) << s for e, s in zip(m, _SHIFTS))
+    # FIELDS minus the exponents' fields, with no borrow, is 255 - e_i in each.
+    return (a + b + c + d + e + f + g + h) << _DEG_SHIFT | FIELDS - (
+        a | b << 9 | c << 18 | d << 27 | e << 36 | f << 45 | g << 54 | h << 63
+    )
 
 
 def unpack(k: int) -> Monomial:
-    return tuple(MAX_EXP - (k >> s & MAX_EXP) for s in _SHIFTS)
+    k = FIELDS - (k & FIELDS)
+    return (
+        k & MAX_EXP, k >> 9 & MAX_EXP, k >> 18 & MAX_EXP, k >> 27 & MAX_EXP,
+        k >> 36 & MAX_EXP, k >> 45 & MAX_EXP, k >> 54 & MAX_EXP, k >> 63 & MAX_EXP,
+    )
 
 
 def divides(a: int, b: int) -> bool:
@@ -127,10 +140,19 @@ def scale(p: Poly, k: int) -> Poly:
     return {m: k * c for m, c in p.items()}
 
 
-def term_mul(p: PackedPoly, shift: int, k: int) -> PackedPoly:
-    """k times p times the monomial m / lm, given as ``shift = m - lm``
-    in packed form; ``k`` must be nonzero."""
-    return {m + shift: k * c for m, c in p.items()}
+def combine(f: PackedPoly, f_shift: int, a: int, g: PackedPoly, g_shift: int, b: int) -> PackedPoly:
+    """a * f * x^u + b * g * x^v for packed f and g, built in one dict;
+    each shift is given in packed form, ``pack(w + u) - pack(w)`` for
+    any w, as ``lcm - lm`` is.  ``a`` and ``b`` must be nonzero."""
+    out = {k + f_shift: a * c for k, c in f.items()}
+    for k, c in g.items():
+        k += g_shift
+        s = out.get(k, 0) + b * c
+        if s:
+            out[k] = s
+        else:
+            del out[k]
+    return out
 
 
 def mul(p: Poly, q: Poly) -> Poly:
@@ -192,7 +214,8 @@ def normal_form(p: PackedPoly, leads) -> PackedPoly:
     p = dict(p)
     out: PackedPoly = {}
     while p:
-        m, c = leading_term(p)
+        m = max(p)  # the leading monomial, as in leading_term
+        c = p[m]
         for lm, lc, g in leads:
             if ((lm | GUARD) - m) & GUARD == GUARD:  # divides(lm, m)
                 q = c // lc

@@ -128,9 +128,10 @@ def mono_key(m):
 
 #: Exponent vectors over the whole packed range, and small ones, among
 #: which divisibility and ties are common.
+small_monomials = st.tuples(*(st.integers(0, 3) for _ in range(poly.NVARS)))
 monomials = st.tuples(
     *(st.integers(0, poly.MAX_EXP) for _ in range(poly.NVARS))
-) | st.tuples(*(st.integers(0, 3) for _ in range(poly.NVARS)))
+) | small_monomials
 
 
 @given(monomials)
@@ -182,6 +183,14 @@ def test_pack_rejects_exponents_outside_fields():
         poly.pack((-1,) + (0,) * (poly.NVARS - 1))
 
 
+@pytest.mark.parametrize("m", [(1, 2, 3), (1,) * (poly.NVARS + 1)])
+def test_pack_rejects_monomials_of_the_wrong_length(m):
+    # Zipped with the field shifts, (1, 2, 3) would pack with degree 6 and
+    # exponents 1, 2, 3, 255, ..., 255, and a 9-tuple would lose its last.
+    with pytest.raises(ValueError, match=f"got {len(m)}"):
+        poly.pack(m)
+
+
 def _power(**exps) -> poly.Poly:
     return {tuple(exps.get(v, 0) for v in poly.VARS): 1}
 
@@ -222,6 +231,41 @@ def test_groebner_reduces_generators_to_zero(gens):
         assert reduces_to_zero(g, basis)
     # Products with generators stay in the ideal.
     assert reduces_to_zero(poly.mul(gens[0], gens[-1]), basis)
+
+
+@given(
+    small_polys, small_monomials, st.integers(-9, 9).filter(bool),
+    small_polys, small_monomials, st.integers(-9, 9).filter(bool),
+)
+# Every term cancels.
+@example({(1, 2, 0, 0, 0, 0, 0, 0): 3}, (0, 1, 0, 0, 0, 0, 0, 1), 2,
+         {(1, 2, 0, 0, 0, 0, 0, 0): 3}, (0, 1, 0, 0, 0, 0, 0, 1), -2)
+def test_combine_matches_ring_arithmetic(f, u, a, g, v, b):
+    # The packed shift of x^u is pack(w + u) - pack(w) for every w.
+    shift_u = poly.pack(u) - poly.pack(poly.ONE_MONO)
+    shift_v = poly.pack(v) - poly.pack(poly.ONE_MONO)
+    pf, pg = poly.pack_poly(f), poly.pack_poly(g)
+    got = poly.combine(pf, shift_u, a, pg, shift_v, b)
+    want = poly.add(poly.mul(f, {u: a}), poly.mul(g, {v: b}))
+    assert poly.unpack_poly(got) == want
+    assert 0 not in got.values()
+    assert (pf, pg) == (poly.pack_poly(f), poly.pack_poly(g))
+
+
+def test_engine_leaves_its_arguments_unchanged(reduced_bases):
+    gens = triple_system(*EXCEPTIONAL_TRIPLE)
+    before = [dict(g) for g in gens]
+    strong_groebner(gens)
+    assert gens == before
+    # normal_form reduces a copy; its divisors stay as they are too.
+    leads = groebner._packed_leads(reduced_bases[EXCEPTIONAL_TRIPLE])
+    leads_before = [(m, c, dict(g)) for m, c, g in leads]
+    for q, member in ((COEFF_POLYS["R"][2], True), (poly.constant(3), False)):
+        p = poly.pack_poly(q)
+        p_before = dict(p)
+        assert (poly.normal_form(p, leads) == {}) == member
+        assert p == p_before
+    assert leads == leads_before
 
 
 def _leading_term(p):
