@@ -6,7 +6,6 @@ from __future__ import annotations
 
 import math
 import re
-from dataclasses import dataclass
 
 from .enumeration import (
     SLOTS,
@@ -110,11 +109,33 @@ def parse_subgroup(text: str) -> Subgroup:
     raise ValueError(f"malformed subgroup text {text!r}")
 
 
-@dataclass(frozen=True)
 class CatalogEntry:
     """An unordered minimal covering, stored sorted for O(1) equality."""
 
-    lattices: tuple[Subgroup, ...]
+    __slots__ = ("lattices",)
+
+    def __init__(self, lattices: tuple[Subgroup, ...]):
+        object.__setattr__(self, "lattices", lattices)
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return self.lattices == other.lattices
+        return NotImplemented
+
+    def __hash__(self):
+        return hash((self.lattices,))
+
+    def __reduce__(self):
+        return CatalogEntry, (self.lattices,)
+
+    def __repr__(self) -> str:
+        return f"CatalogEntry(lattices={self.lattices!r})"
 
     @property
     def length(self) -> int:
@@ -156,9 +177,9 @@ def entry_from_texts(texts) -> CatalogEntry:
     return canonical_entry(tuple(parse_subgroup(t) for t in texts))
 
 
-@dataclass
 class Catalog:
-    entries: list[CatalogEntry]
+    def __init__(self, entries: list[CatalogEntry]):
+        self.entries = entries
 
     def by_length(self, k: int) -> list[CatalogEntry]:
         return [e for e in self.entries if e.length == k]
@@ -224,11 +245,11 @@ COVER_4_6 = ("1,0;0,4", "4,0;0,1", "1,0;1,4", "1,0;3,4", "1,0;2,4", "2,0;1,2")
 COVER_5_6 = ("1,0;0,5", "5,0;0,1", "1,0;1,5", "1,0;4,5", "1,0;2,5", "1,0;3,5")
 
 
-@dataclass
 class CheckResult:
-    name: str
-    ok: bool
-    detail: str = ""
+    def __init__(self, name: str, ok: bool, detail: str = ""):
+        self.name = name
+        self.ok = ok
+        self.detail = detail
 
 
 def _pad(entry: CatalogEntry) -> CoveringTuple:

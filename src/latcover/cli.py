@@ -43,7 +43,9 @@ def _emit_checks(args, command: str, results: list[CheckResult],
     failed = [r.name for r in results if not r.ok]
     payload = {
         "command": command,
-        "checks": [vars(r) for r in results],
+        "checks": [
+            {"name": r.name, "ok": r.ok, "detail": r.detail} for r in results
+        ],
         "ok": not failed,
     }
     lines = [

@@ -10,7 +10,6 @@ coefficients of F(x, Y), then Horner's rule in y along a row of y's.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 
 from .mat2 import RatMat2
@@ -22,11 +21,33 @@ Rat = Fraction
 MAX_DEGREE = 24
 
 
-@dataclass(frozen=True)
 class BinaryForm:
     """A nonzero homogeneous polynomial in X, Y of degree >= 1."""
 
-    coeffs: tuple[Fraction, ...]
+    __slots__ = ("coeffs",)
+
+    def __init__(self, coeffs: tuple[Fraction, ...]):
+        object.__setattr__(self, "coeffs", coeffs)
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return self.coeffs == other.coeffs
+        return NotImplemented
+
+    def __hash__(self):
+        return hash((self.coeffs,))
+
+    def __reduce__(self):
+        return BinaryForm, (self.coeffs,)
+
+    def __repr__(self) -> str:
+        return f"BinaryForm(coeffs={self.coeffs!r})"
 
     @staticmethod
     def of(*coeffs) -> "BinaryForm":
@@ -261,13 +282,12 @@ def sextic(a: int, c: int) -> BinaryForm:
     return f
 
 
-@dataclass
 class ValueWitness:
-    value: int
-    point: tuple[int, int]
+    def __init__(self, value: int, point: tuple[int, int]):
+        self.value = value
+        self.point = point
 
 
-@dataclass
 class CompareReport:
     """Outcome of the two-directional boxed value-set comparison.
 
@@ -277,10 +297,12 @@ class CompareReport:
     equality.
     """
 
-    n: int
-    m: int
-    unmatched_f: list[ValueWitness]
-    unmatched_g: list[ValueWitness]
+    def __init__(self, n: int, m: int, unmatched_f: list[ValueWitness],
+                 unmatched_g: list[ValueWitness]):
+        self.n = n
+        self.m = m
+        self.unmatched_f = unmatched_f
+        self.unmatched_g = unmatched_g
 
     @property
     def ok(self) -> bool:

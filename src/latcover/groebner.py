@@ -15,7 +15,6 @@ import functools
 import heapq
 import itertools
 import math
-from dataclasses import dataclass
 
 from . import poly
 from .lattices import xgcd
@@ -257,14 +256,15 @@ def triple_system(e1: str, e2: str, e3: str) -> list[Poly]:
     ]
 
 
-@dataclass
 class Verdict:
     """Outcome of one ideal-membership certificate."""
 
-    elements: tuple[str, ...]
-    contains_3: bool
-    expected: bool
-    extra: dict | None = None
+    def __init__(self, elements: tuple[str, ...], contains_3: bool,
+                 expected: bool, extra: dict | None = None):
+        self.elements = elements
+        self.contains_3 = contains_3
+        self.expected = expected
+        self.extra = extra
 
     @property
     def ok(self) -> bool:

@@ -17,7 +17,6 @@ integer multiple of a dual (see :func:`_dual`).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import reduce
 
@@ -42,7 +41,6 @@ def xgcd(a: int, b: int) -> tuple[int, int, int]:
     return g, s, t
 
 
-@dataclass(frozen=True, slots=True)
 class Subgroup:
     """A subgroup of Z^2 in canonical basis form.  Immutable and hashable.
 
@@ -50,7 +48,27 @@ class Subgroup:
     :func:`canonicalize` instead.
     """
 
-    gens: tuple[Vec2, ...]
+    __slots__ = ("gens",)
+
+    def __init__(self, gens: tuple[Vec2, ...]):
+        object.__setattr__(self, "gens", gens)
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return self.gens == other.gens
+        return NotImplemented
+
+    def __hash__(self):
+        return hash((self.gens,))
+
+    def __reduce__(self):
+        return Subgroup, (self.gens,)
 
     @property
     def rank(self) -> int:

@@ -5,7 +5,6 @@ number and matrix syntax."""
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
 from fractions import Fraction
 
 #: Longest number text :func:`parse_rational` accepts.  The paper's forms
@@ -34,14 +33,36 @@ def parse_rational(text: str) -> Fraction:
     return Fraction(text)
 
 
-@dataclass(frozen=True, slots=True)
 class RatMat2:
     """An immutable 2x2 rational matrix (a b; c d)."""
 
-    a: Fraction
-    b: Fraction
-    c: Fraction
-    d: Fraction
+    __slots__ = ("a", "b", "c", "d")
+
+    def __init__(self, a: Fraction, b: Fraction, c: Fraction, d: Fraction):
+        object.__setattr__(self, "a", a)
+        object.__setattr__(self, "b", b)
+        object.__setattr__(self, "c", c)
+        object.__setattr__(self, "d", d)
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return self.entries() == other.entries()
+        return NotImplemented
+
+    def __hash__(self):
+        return hash(self.entries())
+
+    def __reduce__(self):
+        return RatMat2, self.entries()
+
+    def __repr__(self) -> str:
+        return f"RatMat2(a={self.a!r}, b={self.b!r}, c={self.c!r}, d={self.d!r})"
 
     @staticmethod
     def of(a, b, c, d) -> "RatMat2":

@@ -22,7 +22,6 @@ from __future__ import annotations
 import functools
 import itertools
 import math
-from dataclasses import dataclass, field
 
 from .groebner import COEFF_POLYS, ELEMENT_NAMES
 from .poly import evaluate_column, expand
@@ -146,16 +145,21 @@ def _badness(pairs) -> int:
     return counter
 
 
-@dataclass
 class ScanReport:
-    """Outcome of one exhaustive residue scan."""
+    """Outcome of one exhaustive residue scan.  Each collection left out
+    of the call starts as a new empty one."""
 
-    name: str
-    modulus: int
-    clauses: dict[str, bool] = field(default_factory=dict)
-    exceptional: list = field(default_factory=list)
-    violations: list = field(default_factory=list)
-    context: dict = field(default_factory=dict)
+    def __init__(self, name: str, modulus: int,
+                 clauses: dict[str, bool] | None = None,
+                 exceptional: list | None = None,
+                 violations: list | None = None,
+                 context: dict | None = None):
+        self.name = name
+        self.modulus = modulus
+        self.clauses = {} if clauses is None else clauses
+        self.exceptional = [] if exceptional is None else exceptional
+        self.violations = [] if violations is None else violations
+        self.context = {} if context is None else context
 
     @property
     def ok(self) -> bool:

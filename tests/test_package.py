@@ -1,8 +1,16 @@
 import ast
+import os
+import pickle
+import subprocess
 import sys
+from fractions import Fraction
 from pathlib import Path
 
+import pytest
+
 import latcover
+from latcover import BinaryForm, CatalogEntry, RatMat2, Subgroup
+from latcover.catalog import LENGTH3_ENTRY, entry_from_texts
 
 
 def test_every_exported_name_resolves():
@@ -29,3 +37,53 @@ def test_package_imports_only_the_standard_library():
                 continue
             for name in names:
                 assert name.partition(".")[0] in sys.stdlib_module_names, (path.name, name)
+
+
+@pytest.mark.parametrize("module", ["latcover", "latcover.cli"])
+def test_cold_import_leaves_out_dataclasses_and_inspect(module):
+    # pytest has loaded all of these itself, so only a fresh interpreter
+    # shows what the import adds.
+    code = (
+        "import sys; before = set(sys.modules); import " + module + "; "
+        "print(' '.join(sorted(set(sys.modules) - before)))"
+    )
+    env = {**os.environ, "PYTHONPATH": str(Path(latcover.__file__).parents[1])}
+    added = subprocess.run(
+        [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
+    ).stdout.split()
+    assert module in added
+    assert not {"dataclasses", "inspect", "ast", "dis", "tokenize"} & set(added)
+
+
+@pytest.mark.parametrize("value, fields, other, text", [
+    (Subgroup(((2, 0), (1, 2))), (((2, 0), (1, 2)),), Subgroup(((2, 0), (0, 1))),
+     "Subgroup((2, 0), (1, 2))"),
+    (RatMat2.of(1, "1/2", 0, -3), (1, Fraction(1, 2), 0, -3), RatMat2.of(1, 0, 0, -3),
+     "RatMat2(a=Fraction(1, 1), b=Fraction(1, 2), c=Fraction(0, 1), d=Fraction(-3, 1))"),
+    (BinaryForm.of(0, 1, 1, 0), ((0, 1, 1, 0),), BinaryForm.of(0, 1, 2, 0),
+     "BinaryForm(coeffs=(Fraction(0, 1), Fraction(1, 1), Fraction(1, 1), Fraction(0, 1)))"),
+    (entry_from_texts(LENGTH3_ENTRY), (entry_from_texts(LENGTH3_ENTRY).lattices,),
+     entry_from_texts(("1,0;0,2", "2,0;0,1", "1,0;1,4", "1,0;3,4")), None),
+], ids=["Subgroup", "RatMat2", "BinaryForm", "CatalogEntry"])
+def test_value_type_contract(value, fields, other, text):
+    cls = type(value)
+    same = cls(*fields)
+    assert value == same and not value != same
+    assert value != other
+    # Equal only to the same class: never to the field tuple, even for
+    # a single field, nor to a lone field.
+    assert value != fields and fields != value and value != fields[0]
+    assert value.__eq__(fields) is NotImplemented
+    assert hash(value) == hash(same) == hash(fields)
+    for name in cls.__slots__:
+        with pytest.raises(AttributeError):
+            setattr(value, name, None)
+        with pytest.raises(AttributeError):
+            delattr(value, name)
+    with pytest.raises(AttributeError):
+        value.extra = 1
+    assert not hasattr(value, "__dict__")
+    again = pickle.loads(pickle.dumps(value))
+    assert type(again) is cls and again == value and hash(again) == hash(value)
+    if text is not None:
+        assert repr(value) == text
