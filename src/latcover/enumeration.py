@@ -10,17 +10,24 @@ minimal coverings.
 Each search works on its own :class:`Search` tables, in which the 185
 subgroups it reaches are interned as small ints, so slot tuples and steps
 are ints and int tuples.  Every id carries the bit mask of the forcing
-points its subgroup contains, so the union's mask is an OR of slot masks.
-The search takes a full mask for a cover, as the forcing property allows,
-and runs no exact test.  :func:`raw_solutions` certifies its output
-instead: it prunes each distinct raw tuple once, on the masks, and runs
-the exact :func:`~latcover.lattices.is_cover` on each of the 101 distinct
-pruned forms.  A raw tuple's slots include its pruned form's, so this
-covers every raw tuple.  The tables live as long as the caller keeps the
-:class:`Search`; only the forcing-point masks, memoized by basis, outlive
-it.
-:func:`possible_predecessors` narrows the minimality filter's exact
-:func:`precedes` tests to the pairs a containment bitset allows.
+points its subgroup contains.  Each node of the search is handed its
+union's mask, and gives each child the mask ORed with the enlarged
+slot's, so the next forcing point to adjoin is the mask's lowest clear
+bit.  The search takes a full mask for a cover, as the forcing property
+allows, and runs no exact test.  :func:`raw_solutions` certifies its
+output instead: it prunes each distinct raw tuple once, on the masks,
+and runs the exact :func:`~latcover.lattices.is_cover` on each of the
+101 distinct pruned forms.  A raw tuple's slots include its pruned
+form's, so this covers every raw tuple.  The tables live as long as the
+caller keeps the :class:`Search`; only the forcing-point masks, memoized
+by basis, outlive it.
+
+The minimality filter decides containment once: :func:`containment`
+tests each ordered pair of the 80 distinct subgroups of the candidates,
+zero included, and gives each subgroup a bit.
+:func:`possible_predecessors` reads it to narrow the exact
+:func:`precedes` tests to the pairs it allows, and :func:`precedes`
+matches slots on its bits.
 """
 
 from __future__ import annotations
@@ -90,6 +97,7 @@ def _mask(gens: tuple) -> int:
     if len(gens) != 2:
         s = Subgroup(gens)
         return sum(1 << i for i, p in enumerate(FORCING_POINTS) if contains(s, p))
+    # Inlined, not 97 contains calls for each subgroup a search interns.
     (a, _), (c, b) = gens
     bits = 0
     for i, (x, y) in enumerate(FORCING_POINTS):
@@ -143,57 +151,52 @@ class Search:
         return j
 
 
-def _children(search: Search, slots: tuple[int, ...], point_index: int):
-    """One search step from the tuple of ids ``slots``.
+def _children(search: Search, slots: tuple[int, ...], covered: int):
+    """One search step from the tuple of ids ``slots``, whose union has
+    the forcing-point mask ``covered``.
 
-    Finds the first forcing point from ``point_index`` on that the union
-    misses, as the lowest clear bit of the OR of the slot masks, then
-    adjoins it to each slot in turn, up to the first zero slot, leaving
-    out enlargements that are all of Z^2.  Returns a list of
-    ``(child, covers, next_index)`` in slot order.  ``covers`` is True
-    iff the child's union contains every forcing point, which by the
-    forcing property makes it a cover; :func:`raw_solutions` certifies
-    that on its output.
+    Finds the first forcing point the union misses, the lowest clear bit
+    of ``covered``, then adjoins it to each slot in turn, up to the first
+    zero slot, leaving out enlargements that are all of Z^2.  Returns a
+    list of ``(child, mask)`` in slot order, ``mask`` being the child's
+    union's, ``covered`` OR the enlarged slot's mask.  A full ``mask``
+    makes the child a cover by the forcing property, which
+    :func:`raw_solutions` certifies on its output.
     """
-    masks = search.masks
-    covered = 0
-    for i in slots:
-        covered |= masks[i]
-    missed = (_FULL_MASK & ~covered) >> point_index
-    if not missed:
-        raise ForcingListExhausted(
-            f"the union contains every forcing point from position {point_index} on"
-        )
-    point_index += (missed & -missed).bit_length() - 1
+    if covered == _FULL_MASK:
+        raise ForcingListExhausted("the union contains every forcing point")
+    point_index = (~covered & (covered + 1)).bit_length() - 1
 
-    last_slot = slots.index(0) if 0 in slots else len(slots) - 1
-    steps, row = search.steps, len(FORCING_POINTS)
+    masks, steps, row = search.masks, search.steps, len(FORCING_POINTS)
     children = []
-    for k in range(last_slot + 1):
-        i = slots[k]
+    for k, i in enumerate(slots):
         j = steps.get(i * row + point_index)
         if j is None:
             j = search.enlarge(i, point_index)
         if j >= 0:
-            child = slots[:k] + (j,) + slots[k + 1:]
-            children.append((child, (covered | masks[j]) == _FULL_MASK, point_index + 1))
+            children.append((slots[:k] + (j,) + slots[k + 1:], covered | masks[j]))
+        if not i:
+            break
     return children
 
 
 def find_lattices(
-    search: Search, slots: tuple[int, ...], point_index: int
+    search: Search, slots: tuple[int, ...], covered: int
 ) -> list[tuple[int, ...]]:
-    """Every covering tuple of ids found below the node ``slots``.
+    """Every covering tuple of ids found below the node ``slots``, whose
+    union has the forcing-point mask ``covered``.
 
     The traversal order is fixed: depth first, children in the order
-    :func:`_children` lists them.
+    :func:`_children` lists them.  Every forcing point before the first
+    one the union misses is covered, since each was covered or adjoined
+    on the way down, so the mask alone says where the search stands.
     """
     solutions: list[tuple[int, ...]] = []
-    for child, covers, next_index in _children(search, slots, point_index):
-        if covers:
+    for child, mask in _children(search, slots, covered):
+        if mask == _FULL_MASK:
             solutions.append(child)
         else:
-            solutions.extend(find_lattices(search, child, next_index))
+            solutions.extend(find_lattices(search, child, mask))
     return solutions
 
 
@@ -251,7 +254,32 @@ def _slot_key(s: Subgroup):
     return (index(s), s.gens)
 
 
-def precedes(a: CoveringTuple, b: CoveringTuple) -> bool:
+def containment(tuples) -> dict[tuple, tuple[int, int]]:
+    """The containment relation on the distinct subgroups of ``tuples``,
+    the zero subgroup included.
+
+    Maps the basis of each to ``(bit, inside)``: a bit of its own, and
+    the OR of the bits of the subgroups inside it, its own included.
+    Makes one :func:`~latcover.lattices.is_subgroup_of` per ordered pair,
+    through the module global, so that :func:`possible_predecessors` and
+    :func:`precedes` decide each containment once between them.
+    """
+    distinct: dict[tuple, Subgroup] = {}
+    for t in tuples:
+        for s in t:
+            distinct.setdefault(s.gens, s)
+    subgroups = list(distinct.values())
+    relation = {}
+    for k, s in enumerate(subgroups):
+        inside = 0
+        for m, u in enumerate(subgroups):
+            if is_subgroup_of(u, s):
+                inside |= 1 << m
+        relation[s.gens] = (1 << k, inside)
+    return relation
+
+
+def precedes(a: CoveringTuple, b: CoveringTuple, relation=None) -> bool:
     """The permutation partial order: a <= b iff some permutation sigma
     has every generator of a[i] inside b[sigma(i)].
 
@@ -260,17 +288,23 @@ def precedes(a: CoveringTuple, b: CoveringTuple) -> bool:
     matched identically.  The candidate slots of ``b`` for each slot of
     ``a`` are listed one slot at a time, and the answer is False as soon
     as one slot of ``a`` has none; a matching search runs over the lists.
+    Containment is read off ``relation``, a :func:`containment` over
+    tuples that include ``a`` and ``b``, or one built over the two.
     """
+    if relation is None:
+        relation = containment((a, b))
     k = len(a) - 1
     for i, s in enumerate(a):
         if not s.gens:
             k = i
             break
-    if not all(is_subgroup_of(a[i], b[i]) for i in range(k + 1, len(a))):
+    own = [relation[s.gens][0] for s in a]
+    inside = [relation[s.gens][1] for s in b]
+    if not all(own[i] & inside[i] for i in range(k + 1, len(a))):
         return False
     rows = []
     for i in range(k + 1):
-        row = [j for j in range(k + 1) if is_subgroup_of(a[i], b[j])]
+        row = [j for j in range(k + 1) if own[i] & inside[j]]
         if not row:
             return False
         rows.append(row)
@@ -295,36 +329,27 @@ def _canonical_sort_key(t: CoveringTuple):
     return tuple(sorted((index(s) if s.rank == 2 else 0, s.gens) for s in t))
 
 
-def possible_predecessors(tuples) -> list[list[int]]:
+def possible_predecessors(tuples, relation=None) -> list[list[int]]:
     """For each tuple c of ``tuples``, the positions of the tuples o whose
-    nonzero slots each lie inside some slot of c, c's own included.
+    slots each lie inside some slot of c, c's own included.
 
     Each slot of o that :func:`precedes` matches is inside a slot of c,
-    and a nonzero slot is inside no zero slot, so every o with
-    ``precedes(o, c)`` is listed for c; the exact test decides the rest.
-    Costs one :func:`~latcover.lattices.is_subgroup_of` per ordered pair
-    of the distinct nonzero subgroups, then two ints per tuple: the bits
+    so every o with ``precedes(o, c)`` is listed for c; the exact test
+    decides the rest.  Reads ``relation``, a :func:`containment` over
+    ``tuples`` or one built over them, into two ints per tuple: the bits
     of its slots, and the bits of the subgroups inside one of them.
     Tuples are told apart by position, since a list may hold one tuple
     object twice.
     """
-    distinct: dict[tuple, Subgroup] = {}
-    for t in tuples:
-        for s in t:
-            if s.gens:
-                distinct.setdefault(s.gens, s)
-    bit = {gens: 1 << k for k, gens in enumerate(distinct)}
-    inside = {
-        gens: sum(bit[u.gens] for u in distinct.values() if is_subgroup_of(u, s))
-        for gens, s in distinct.items()
-    }
+    if relation is None:
+        relation = containment(tuples)
     own, reach = [], []
     for t in tuples:
         o = r = 0
         for s in t:
-            if s.gens:
-                o |= bit[s.gens]
-                r |= inside[s.gens]
+            bit, inside = relation[s.gens]
+            o |= bit
+            r |= inside
         own.append(o)
         reach.append(r)
     return [[i for i, o in enumerate(own) if not o & ~r] for r in reach]
@@ -333,35 +358,37 @@ def possible_predecessors(tuples) -> list[list[int]]:
 def _subtree(
     task: tuple[CoveringTuple, int], search: Search | None = None
 ) -> list[CoveringTuple]:
-    """Every covering tuple found below a node, searched on the tables of
-    ``search`` or on new ones; their id tuples stay in ``solutions``."""
-    slots, point_index = task
+    """Every covering tuple found below a node, given with its union's
+    forcing-point mask, searched on the tables of ``search`` or on new
+    ones; their id tuples stay in ``solutions``."""
+    slots, covered = task
     if search is None:
         search = Search()
-    search.solutions = find_lattices(search, search.ids(slots), point_index)
+    search.solutions = find_lattices(search, search.ids(slots), covered)
     return list(map(search.tuple_of, search.solutions))
 
 
 def _expand_frontier(min_tasks: int):
     """Breadth-first expansion of the search root into independent tasks.
 
-    Returns (solutions found so far, open tasks), as subgroup tuples;
-    a solution is a tuple whose mask is full.  Used to fan the search out
-    over worker processes, each of which interns the subgroups of its
-    tasks anew; the parent certifies the pooled solutions.
+    Returns (solutions found so far, open tasks), as subgroup tuples, a
+    task with its union's mask; a solution is a tuple whose mask is full.
+    Used to fan the search out over worker processes, each of which
+    interns the subgroups of its tasks anew; the parent certifies the
+    pooled solutions.
     """
     search = Search()
     solutions: list[tuple[int, ...]] = []
     tasks: list[tuple[tuple[int, ...], int]] = [(search.ids(EMPTY_TUPLE), 0)]
     while tasks and len(tasks) < min_tasks:
-        for child, covers, next_index in _children(search, *tasks.pop(0)):
-            if covers:
+        for child, mask in _children(search, *tasks.pop(0)):
+            if mask == _FULL_MASK:
                 solutions.append(child)
             else:
-                tasks.append((child, next_index))
+                tasks.append((child, mask))
     return (
         [search.tuple_of(t) for t in solutions],
-        [(search.tuple_of(t), p) for t, p in tasks],
+        [(search.tuple_of(t), mask) for t, mask in tasks],
     )
 
 
@@ -379,9 +406,10 @@ def raw_solutions(
     pruned form, so every raw tuple is certified.  With ``workers > 1``
     independent subtrees run in separate processes, and this process
     interns and certifies the combined list, which is identical to the
-    sequential one up to order.  A ``search`` given is searched on in this process, so ``workers``
-    must then be 1; its ``solutions`` are the id tuples of the returned
-    list, in order, and ``pruned`` their pruned forms.
+    sequential one up to order.  A ``search`` given is searched on in
+    this process, so ``workers`` must then be 1; its ``solutions`` are
+    the id tuples of the returned list, in order, and ``pruned`` their
+    pruned forms.
     """
     if search is None:
         search = Search()
@@ -412,15 +440,17 @@ def enumerate_minimal_coverings() -> list[CoveringTuple]:
     candidates the distinct pruned forms it certified, in which raw
     solutions differing only in slot order meet.  Only these become
     subgroup tuples again; it sorts them, then keeps only those not
-    preceded by another candidate.  Only the candidates
-    :func:`possible_predecessors` lists get the exact :func:`precedes`
-    test.  The outcome does not depend on the traversal order.
+    preceded by another candidate.  One :func:`containment` over the
+    candidates serves :func:`possible_predecessors` and the exact
+    :func:`precedes` test, which runs only on the pairs the former
+    lists.  The outcome does not depend on the traversal order.
     """
     search = Search()
     raw_solutions(search=search)
     candidates = sorted(map(search.tuple_of, search.pruned), key=_canonical_sort_key)
-    listed = possible_predecessors(candidates)
+    relation = containment(candidates)
+    listed = possible_predecessors(candidates, relation)
     return [
         c for i, c in enumerate(candidates)
-        if not any(j != i and precedes(candidates[j], c) for j in listed[i])
+        if not any(j != i and precedes(candidates[j], c, relation) for j in listed[i])
     ]

@@ -140,9 +140,9 @@ def test_precedes_runs_only_on_prefiltered_pairs(monkeypatch, catalog):
     calls = Counter()
     inner = enumeration.precedes
 
-    def counted(a, b):
+    def counted(a, b, relation=None):
         calls["precedes"] += 1
-        return inner(a, b)
+        return inner(a, b, relation)
 
     monkeypatch.setattr(enumeration, "precedes", counted)
     monkeypatch.setattr(catalog_module, "precedes", counted)

@@ -9,12 +9,13 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from latcover import enumeration
-from latcover.catalog import generate_catalog
+from latcover.catalog import generate_catalog, verify_catalog
 from latcover.enumeration import (
     EMPTY_TUPLE,
     FORCING_POINTS,
     SLOTS,
     ForcingListExhausted,
+    containment,
     enumerate_minimal_coverings,
     find_lattices,
     possible_predecessors,
@@ -208,16 +209,41 @@ def test_prefilter_is_sound_on_candidates_and_doubled_catalog(catalog):
         {prune(t) for t in raw_solutions()}, key=enumeration._canonical_sort_key
     )
     assert len(candidates) == 101
+    assert len(containment(candidates)) == 80
     # A length-6 entry pads to its own tuple object, so the doubled
     # catalog holds each such object twice: positions tell them apart.
+    # On every ordered pair, precedes on the one relation over all the
+    # tuples, zero included, agrees with precedes on the pair alone.
     padded = [e.lattices + (ZERO,) * (SLOTS - e.length) for e in catalog.entries]
     for tuples in (candidates, padded * 2):
+        relation = containment(tuples)
         listed = possible_predecessors(tuples)
         for j, c in enumerate(tuples):
             for i, o in enumerate(tuples):
-                if precedes(o, c):
+                exact = precedes(o, c)
+                assert precedes(o, c, relation) == exact
+                if exact:
                     assert i in listed[j]
     assert enumerate_minimal_coverings() == _all_pairs_minimal(candidates)
+
+
+def test_catalog_decides_each_containment_once(monkeypatch):
+    # One is_subgroup_of per ordered pair of the 80 distinct subgroups,
+    # zero included, of the candidates and of the padded catalog entries,
+    # counted through enumeration's module global.
+    calls = Counter()
+    inner = enumeration.is_subgroup_of
+
+    def counted(a, b):
+        calls["is_subgroup_of"] += 1
+        return inner(a, b)
+
+    monkeypatch.setattr(enumeration, "is_subgroup_of", counted)
+    catalog = generate_catalog()
+    assert calls["is_subgroup_of"] == 80**2
+    calls.clear()
+    assert all(r.ok for r in verify_catalog(catalog))
+    assert calls["is_subgroup_of"] == 80**2
 
 
 def test_minimal_coverings_counts(catalog):
@@ -266,10 +292,10 @@ def test_search_visits_6178_nodes(monkeypatch):
     calls = 0
     inner = enumeration.find_lattices
 
-    def counted(search, slots, point_index):
+    def counted(search, slots, covered):
         nonlocal calls
         calls += 1
-        return inner(search, slots, point_index)
+        return inner(search, slots, covered)
 
     monkeypatch.setattr(enumeration, "find_lattices", counted)
     assert len(raw_solutions()) == 6131
@@ -278,8 +304,9 @@ def test_search_visits_6178_nodes(monkeypatch):
 
 def test_search_past_forcing_list_raises():
     search = enumeration.Search()
+    full = (1 << len(FORCING_POINTS)) - 1
     with pytest.raises(ForcingListExhausted):
-        find_lattices(search, search.ids(EMPTY_TUPLE), len(FORCING_POINTS))
+        find_lattices(search, search.ids(EMPTY_TUPLE), full)
 
 
 @pytest.mark.parametrize("kept", [40, 80])
@@ -371,10 +398,10 @@ def test_minimal_coverings_prune_each_distinct_raw_solution_once(monkeypatch):
         calls["prune"] += 1
         return inner_prune(ids, masks, keys)
 
-    def recorded(tuples):
+    def recorded(tuples, relation=None):
         calls["candidates"] += 1
         assert tuples == expected
-        return inner_listed(tuples)
+        return inner_listed(tuples, relation)
 
     monkeypatch.setattr(enumeration, "_prune_ids", counted)
     monkeypatch.setattr(enumeration, "possible_predecessors", recorded)

@@ -1,6 +1,7 @@
 import itertools
 import math
 import random
+from collections import Counter
 from collections.abc import Sized
 from fractions import Fraction
 from functools import reduce
@@ -10,6 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import latcover.lattices as lattices_module
+from latcover import enumeration
 from latcover.lattices import (
     FULL,
     INDEX_INFINITE,
@@ -224,6 +226,31 @@ def test_adjoin_contains_both(gens, v):
     t = adjoin(s, v)
     assert contains(t, v)
     assert is_subgroup_of(s, t)
+
+
+def test_adjoin_matches_canonicalize_on_seeded_subgroups():
+    # canonicalize is the reference for adjoin's one-step rank-2 update.
+    # Points with y = 0, negative coordinates and the origin included;
+    # then every step the forcing search takes.
+    rng = random.Random(26)
+    ranks = Counter()
+
+    def point(r):
+        return (rng.randint(-r, r), rng.choice([0, rng.randint(-r, r)]))
+
+    for _ in range(4000):
+        s = canonicalize(point(12) for _ in range(rng.choice([0, 1, 2, 2])))
+        v = point(30)
+        ranks[s.rank] += 1
+        assert adjoin(s, v) == canonicalize(s.gens + (v,)), (s, v)
+    assert min(ranks[r] for r in (0, 1, 2)) > 100
+    search = enumeration.Search()
+    enumeration.raw_solutions(search=search)
+    row = len(enumeration.FORCING_POINTS)
+    assert len(search.steps) == 1348
+    for key in search.steps:
+        s, v = search.subgroups[key // row], enumeration.FORCING_POINTS[key % row]
+        assert adjoin(s, v) == canonicalize(s.gens + (v,))
 
 
 def _random_lattice(rng, max_index=6):
