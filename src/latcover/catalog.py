@@ -17,6 +17,7 @@ from .enumeration import (
 )
 from .lattices import Subgroup, ZERO, canonicalize, density_sum, index, is_cover
 from .mat2 import MAX_NUMBER_LENGTH
+from .value import Value
 
 #: Expected number of minimal coverings per length.
 EXPECTED_COUNTS = {3: 1, 4: 4, 5: 9, 6: 40}
@@ -110,33 +111,14 @@ def parse_subgroup(text: str) -> Subgroup:
     raise ValueError(f"malformed subgroup text {text!r}")
 
 
-class CatalogEntry:
-    """An unordered minimal covering, stored sorted for O(1) equality."""
+class CatalogEntry(Value):
+    """An unordered minimal covering.  Its subgroups are stored sorted, so
+    equal coverings are equal tuples whatever their slot order."""
 
     __slots__ = ("lattices",)
 
     def __init__(self, lattices: tuple[Subgroup, ...]):
         object.__setattr__(self, "lattices", lattices)
-
-    def __setattr__(self, name, value):
-        raise AttributeError(f"cannot assign to field {name!r}")
-
-    def __delattr__(self, name):
-        raise AttributeError(f"cannot delete field {name!r}")
-
-    def __eq__(self, other):
-        if other.__class__ is self.__class__:
-            return self.lattices == other.lattices
-        return NotImplemented
-
-    def __hash__(self):
-        return hash((self.lattices,))
-
-    def __reduce__(self):
-        return CatalogEntry, (self.lattices,)
-
-    def __repr__(self) -> str:
-        return f"CatalogEntry(lattices={self.lattices!r})"
 
     @property
     def length(self) -> int:

@@ -13,41 +13,20 @@ import math
 from fractions import Fraction
 
 from .mat2 import RatMat2
-
-Rat = Fraction
+from .value import Value
 
 #: Largest degree ``BinaryForm.of`` accepts (the paper's forms: 3 and 6);
 #: ``compose`` costs about degree^3 operations.
 MAX_DEGREE = 24
 
 
-class BinaryForm:
+class BinaryForm(Value):
     """A nonzero homogeneous polynomial in X, Y of degree >= 1."""
 
     __slots__ = ("coeffs",)
 
     def __init__(self, coeffs: tuple[Fraction, ...]):
         object.__setattr__(self, "coeffs", coeffs)
-
-    def __setattr__(self, name, value):
-        raise AttributeError(f"cannot assign to field {name!r}")
-
-    def __delattr__(self, name):
-        raise AttributeError(f"cannot delete field {name!r}")
-
-    def __eq__(self, other):
-        if other.__class__ is self.__class__:
-            return self.coeffs == other.coeffs
-        return NotImplemented
-
-    def __hash__(self):
-        return hash((self.coeffs,))
-
-    def __reduce__(self):
-        return BinaryForm, (self.coeffs,)
-
-    def __repr__(self) -> str:
-        return f"BinaryForm(coeffs={self.coeffs!r})"
 
     @staticmethod
     def of(*coeffs) -> "BinaryForm":

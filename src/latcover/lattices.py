@@ -20,6 +20,8 @@ import math
 from fractions import Fraction
 from functools import reduce
 
+from .value import Value
+
 Vec2 = tuple[int, int]
 
 #: Marker returned by :func:`index` for subgroups of rank < 2.
@@ -41,7 +43,7 @@ def xgcd(a: int, b: int) -> tuple[int, int, int]:
     return g, s, t
 
 
-class Subgroup:
+class Subgroup(Value):
     """A subgroup of Z^2 in canonical basis form.  Immutable and hashable.
 
     Do not call the constructor with a non-canonical basis; use
@@ -52,23 +54,6 @@ class Subgroup:
 
     def __init__(self, gens: tuple[Vec2, ...]):
         object.__setattr__(self, "gens", gens)
-
-    def __setattr__(self, name, value):
-        raise AttributeError(f"cannot assign to field {name!r}")
-
-    def __delattr__(self, name):
-        raise AttributeError(f"cannot delete field {name!r}")
-
-    def __eq__(self, other):
-        if other.__class__ is self.__class__:
-            return self.gens == other.gens
-        return NotImplemented
-
-    def __hash__(self):
-        return hash((self.gens,))
-
-    def __reduce__(self):
-        return Subgroup, (self.gens,)
 
     @property
     def rank(self) -> int:

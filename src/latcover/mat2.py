@@ -7,6 +7,8 @@ from __future__ import annotations
 import re
 from fractions import Fraction
 
+from .value import Value
+
 #: Longest number text :func:`parse_rational` accepts.  The paper's forms
 #: and matrices have entries of a few digits; the cap keeps a single entry
 #: from making the exact arithmetic downstream arbitrarily slow.
@@ -33,7 +35,7 @@ def parse_rational(text: str) -> Fraction:
     return Fraction(text)
 
 
-class RatMat2:
+class RatMat2(Value):
     """An immutable 2x2 rational matrix (a b; c d)."""
 
     __slots__ = ("a", "b", "c", "d")
@@ -43,26 +45,6 @@ class RatMat2:
         object.__setattr__(self, "b", b)
         object.__setattr__(self, "c", c)
         object.__setattr__(self, "d", d)
-
-    def __setattr__(self, name, value):
-        raise AttributeError(f"cannot assign to field {name!r}")
-
-    def __delattr__(self, name):
-        raise AttributeError(f"cannot delete field {name!r}")
-
-    def __eq__(self, other):
-        if other.__class__ is self.__class__:
-            return self.entries() == other.entries()
-        return NotImplemented
-
-    def __hash__(self):
-        return hash(self.entries())
-
-    def __reduce__(self):
-        return RatMat2, self.entries()
-
-    def __repr__(self) -> str:
-        return f"RatMat2(a={self.a!r}, b={self.b!r}, c={self.c!r}, d={self.d!r})"
 
     @staticmethod
     def of(a, b, c, d) -> "RatMat2":

@@ -11,6 +11,7 @@ import pytest
 import latcover
 from latcover import BinaryForm, CatalogEntry, RatMat2, Subgroup
 from latcover.catalog import LENGTH3_ENTRY, entry_from_texts
+from latcover.value import Value
 
 
 def test_every_exported_name_resolves():
@@ -67,6 +68,10 @@ def test_cold_import_leaves_out_dataclasses_and_inspect(module):
 ], ids=["Subgroup", "RatMat2", "BinaryForm", "CatalogEntry"])
 def test_value_type_contract(value, fields, other, text):
     cls = type(value)
+    # The contract comes from Value alone; the class declares only its
+    # fields, its constructor and its own methods.
+    assert issubclass(cls, Value)
+    assert not {"__eq__", "__hash__", "__setattr__", "__delattr__", "__reduce__"} & vars(cls).keys()
     same = cls(*fields)
     assert value == same and not value != same
     assert value != other
@@ -75,6 +80,11 @@ def test_value_type_contract(value, fields, other, text):
     assert value != fields and fields != value and value != fields[0]
     assert value.__eq__(fields) is NotImplemented
     assert hash(value) == hash(same) == hash(fields)
+    # Another value type holding the same fields hashes alike but is
+    # unequal: the shared base does not make value types interchangeable.
+    for twin in (Subgroup, BinaryForm, CatalogEntry):
+        if twin is not cls and len(twin.__slots__) == len(fields):
+            assert value != twin(*fields) and hash(twin(*fields)) == hash(value)
     for name in cls.__slots__:
         with pytest.raises(AttributeError):
             setattr(value, name, None)
