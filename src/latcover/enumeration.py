@@ -222,16 +222,15 @@ def prune(t: CoveringTuple) -> CoveringTuple:
         raise ValueError(f"{len(t)} slots, more than {SLOTS}")
     search = Search()
     ids = search.ids(t)
-    keys = list(map(_slot_key, search.subgroups))
-    return search.tuple_of(_prune_ids(ids, search.masks, keys))
+    return search.tuple_of(_prune_ids(ids, search.masks, _slot_ranks(search.subgroups)))
 
 
 def _prune_ids(
-    ids: tuple[int, ...], masks: list[int], keys: list
+    ids: tuple[int, ...], masks: list[int], ranks: list[int]
 ) -> tuple[int, ...]:
     """:func:`prune` on a tuple of ids of one :class:`Search`, given its
-    ``masks`` and the :func:`_slot_key` of each id in ``keys``; id 0 is
-    the zero subgroup."""
+    ``masks`` and the :func:`_slot_ranks` of its subgroups; id 0 is the
+    zero subgroup."""
     # after[k] is the OR of the masks of slots k + 1 on, none dropped yet;
     # before is the OR of the masks of the slots kept so far.
     after = [0] * len(ids)
@@ -244,14 +243,19 @@ def _prune_ids(
             before |= masks[i]
             if i:
                 kept.append(i)
-    kept.sort(key=keys.__getitem__)
+    kept.sort(key=ranks.__getitem__)
     return tuple(kept) + (0,) * (len(ids) - len(kept))
 
 
-def _slot_key(s: Subgroup):
-    """(index, basis) of a subgroup, the order of the kept slots of a
-    pruned tuple."""
-    return (index(s), s.gens)
+def _slot_ranks(subgroups: list[Subgroup]) -> list[int]:
+    """The rank of each of ``subgroups`` in (index, basis) order, the
+    order of the kept slots of a pruned tuple; the subgroups are
+    distinct, so int ranks sort ids as those keys would."""
+    keys = [(index(s), s.gens) for s in subgroups]
+    ranks = [0] * len(keys)
+    for rank, i in enumerate(sorted(range(len(keys)), key=keys.__getitem__)):
+        ranks[i] = rank
+    return ranks
 
 
 def containment(tuples) -> dict[tuple, tuple[int, int]]:
@@ -425,8 +429,8 @@ def raw_solutions(
             for chunk in pool.map(_subtree, tasks):
                 out.extend(chunk)
         search.solutions = list(map(search.ids, out))
-    keys = list(map(_slot_key, search.subgroups))
-    search.pruned = {_prune_ids(t, search.masks, keys) for t in set(search.solutions)}
+    ranks = _slot_ranks(search.subgroups)
+    search.pruned = {_prune_ids(t, search.masks, ranks) for t in set(search.solutions)}
     for t in search.pruned:
         if not is_cover(search.tuple_of(t)):
             raise ValueError(f"{[s.gens for s in search.tuple_of(t)]} does not cover Z^2")

@@ -326,13 +326,18 @@ def _mod7_points() -> tuple[tuple[tuple[int, ...], ...], int]:
     return points, side
 
 
-@functools.lru_cache(maxsize=32)
-def _mod7_zeros(element: str, row: int) -> int:
-    """The zeros mod 7 of ``COEFF_POLYS[element][row]`` among the points
-    of ``_mod7_points()``, as a bitmask over them."""
+@functools.cache
+def _mod7_zeros() -> dict[tuple[str, int], int]:
+    """The zeros mod 7 of each ``COEFF_POLYS[element][row]`` among the
+    points of ``_mod7_points()``, as a bitmask over them keyed by
+    (element, row); the 20 polynomials are evaluated in one call."""
     points, _ = _mod7_points()
-    values = poly.evaluate_column(poly.expand(COEFF_POLYS[element][row]), points)
-    return sum(1 << k for k, v in enumerate(values) if v % 7 == 0)
+    keys = [(e, r) for e in ELEMENT_NAMES for r in range(4)]
+    columns = poly.evaluate_columns([poly.expand(COEFF_POLYS[e][r]) for e, r in keys], points)
+    return {
+        key: sum(1 << k for k, v in enumerate(values) if v % 7 == 0)
+        for key, values in zip(keys, columns)
+    }
 
 
 def has_common_zero_mod7(system_elements, kind: str) -> bool:
@@ -351,10 +356,10 @@ def has_common_zero_mod7(system_elements, kind: str) -> bool:
     zero t therefore gives one, c*t, whose first nonzero entry is 1, so
     only those 400 of the 2,400 nonzero tuples are tried.
 
-    The 20 systems share 20 polynomials, so each one's zero set among
-    the 400 tuples is computed once per process, as a bitmask; a
-    system's common zeros are the AND of its polynomials' masks and, for
-    a triple, the mask of its side conditions.
+    The 20 systems share 20 polynomials, whose zero sets among the 400
+    tuples are computed together on shared monomial columns, once per
+    process, as bitmasks; a system's common zeros are the AND of its
+    polynomials' masks and, for a triple, the mask of its side conditions.
     """
     points, side = _mod7_points()
     if kind == "pair":
@@ -365,6 +370,6 @@ def has_common_zero_mod7(system_elements, kind: str) -> bool:
         mask = side
     else:
         raise ValueError(f"unknown system kind {kind!r}")
-    for e, r in rows:
-        mask &= _mod7_zeros(e, r)
+    for row in rows:
+        mask &= _mod7_zeros()[row]
     return bool(mask)

@@ -10,11 +10,13 @@ below exhaustively check the claimed bounds on the number of equivalence
 classes of these coefficient pairs over small moduli; the mod-9 scan of
 four quadratic forms reads bottom-left entries of the same table.
 
-Each scan lists its residue tuples first and evaluates each polynomial
-over the whole column of them (``poly.evaluate_column``).  A pair's
-class is read as one key from a table of the n^2 residue pairs, built
-once per process for each modulus up to 9; the key of a low-order pair
-is None.
+Each scan lists its residue tuples first and evaluates all its
+polynomials over them in one ``poly.evaluate_columns`` call, which
+builds each shared monomial's column once.  A pair's class is one key
+from a table of the n^2 residue pairs, built once per process for each
+modulus up to 9 and read a column of pairs at a time; the key of a
+low-order pair is None.  :func:`_counts` turns a row of keys into the
+class count and the low-order count.
 """
 
 from __future__ import annotations
@@ -24,7 +26,7 @@ import itertools
 import math
 
 from .groebner import COEFF_POLYS, ELEMENT_NAMES
-from .poly import evaluate_column, expand
+from .poly import evaluate_columns, expand
 
 #: Exceptional residue tuples mod 3: all five non-identity coefficient
 #: pairs vanish exactly on these.
@@ -52,9 +54,8 @@ _QUADRATIC_TERMS = tuple(expand(COEFF_POLYS[e][2]) for e in ("R", "S", "RS", "R2
 
 
 def _top_rows(points) -> list[tuple[int, ...]]:
-    """The ten first-row values at each of ``points``, each polynomial
-    evaluated over the whole column of points at once."""
-    return list(zip(*(evaluate_column(terms, points) for terms in _TOP_TERMS)))
+    """The ten first-row values at each of ``points``."""
+    return list(zip(*evaluate_columns(_TOP_TERMS, points)))
 
 
 def _pairs_mod(row, n: int) -> tuple[tuple[int, int], ...]:
@@ -98,6 +99,21 @@ def _class_keys(pairs, n: int) -> list:
     return [_class_key(p, q, n, units) for p, q in pairs]
 
 
+def _counts(keys) -> tuple[int, int]:
+    """The class count and the low-order count of one row of class keys."""
+    low = keys.count(None)
+    return low + len(set(keys)) - (low > 0), low
+
+
+def _row_counts(columns, n: int):
+    """:func:`_counts` mod n of the identity's and the five elements' pairs
+    at each point of the ten first-row value columns, a column of keys at a time."""
+    table = _key_table(n)
+    pairs = [zip(columns[k], columns[k + 1]) for k in range(0, 10, 2)]
+    keys = [[table[p % n * n + q % n] for p, q in col] for col in pairs]
+    return map(_counts, zip(itertools.repeat(table[1 % n * n]), *keys))
+
+
 def class_count(pairs, n: int) -> int:
     """Number of low-order pairs plus the number of unit-scaling classes
     among the full-order ones.
@@ -110,14 +126,11 @@ def class_count(pairs, n: int) -> int:
     multiple of a low-order one, and this is the count of pairs that are
     low-order or not a unit multiple of an earlier pair in the list.
     """
-    keys = _class_keys(pairs, n)
-    classes = set(keys)
-    classes.discard(None)
-    return keys.count(None) + len(classes)
+    return _counts(_class_keys(pairs, n))[0]
 
 
 def low_order_count(pairs, n: int) -> int:
-    return _class_keys(pairs, n).count(None)
+    return _counts(_class_keys(pairs, n))[1]
 
 
 #: Pairs mod 4 whose presence among the unit-scaled full-order pairs is
@@ -200,17 +213,19 @@ def scan_pair_classes(x: int) -> ScanReport:
         t for t in itertools.product(range(x), repeat=4)
         if math.gcd(t[1], math.gcd(t[3], x)) == 1
     ]
-    for t, row in zip(points, _top_rows(points)):
-        pairs = _pairs_mod(row, x)
-        count = class_count(pairs, x)
+    columns = evaluate_columns(_TOP_TERMS, points)
+    for i, (count, low) in enumerate(_row_counts(columns, x)):
+        t = points[i]
+        odd = x == 4 and math.gcd(t[0], math.gcd(t[2], 2)) == 1
         if count > 3:
             exceptional.append(t)
-            if x == 4 and (2, 0) not in pairs:
-                mod4_shape_violations.append(t)
-        if low_order_count(pairs, x) > 1:
+        if low > 1:
             z_violations.append(t)
-        if x == 4 and math.gcd(t[0], math.gcd(t[2], 2)) == 1:
-            if _badness(pairs) > 1:
+        if x == 4 and (count > 3 or odd):  # the rows whose pairs are checked
+            pairs = _pairs_mod([col[i] for col in columns], 4)
+            if count > 3 and (2, 0) not in pairs:
+                mod4_shape_violations.append(t)
+            if odd and _badness(pairs) > 1:
                 badness_violations.append(t)
     report.exceptional = exceptional
     if x == 5:
@@ -255,11 +270,11 @@ def scan_lifted_classes(rep) -> ScanReport:
         tuple(3 * a + r for a, r in zip(lift, rep))
         for lift in itertools.product(range(3), repeat=4)
     ]
-    violations = []
-    for t, row in zip(points, _top_rows(points)):
-        pairs = _pairs_mod([v // 3 for v in row], 3)
-        if class_count(pairs, 3) > 3 or low_order_count(pairs, 3) > 1:
-            violations.append(t)
+    columns = [[v // 3 for v in col] for col in evaluate_columns(_TOP_TERMS, points)]
+    violations = [
+        t for t, (count, low) in zip(points, _row_counts(columns, 3))
+        if count > 3 or low > 1
+    ]
     return _settle(report, {"lifted-class-count-at-most-3": violations})
 
 
@@ -275,8 +290,8 @@ def scan_first_coefficient_vanishing() -> ScanReport:
         if math.gcd(t[0], math.gcd(t[2], 3)) == 1
         and math.gcd(t[1], math.gcd(t[3], 3)) == 1
     ]
-    for t, row in zip(points, _top_rows(points)):
-        zeros = sum(1 for p in row[::2] if p % 3 == 0)
+    for t, row in zip(points, zip(*evaluate_columns(_TOP_TERMS[::2], points))):
+        zeros = sum(1 for p in row if p % 3 == 0)
         if zeros in (3, 4):
             bad_counts.append(t)
         if zeros == 5:
@@ -303,7 +318,7 @@ def scan_quadratic_forms_mod9() -> ScanReport:
         (u, 0, v, 0) for u in range(9) for v in range(9)
         if math.gcd(u, math.gcd(v, 3)) == 1
     ]
-    columns = [evaluate_column(f, points) for f in _QUADRATIC_TERMS]
+    columns = evaluate_columns(_QUADRATIC_TERMS, points)
     for (u, _, v, _), values in zip(points, zip(*columns)):
         values = [f % 9 for f in values]
         if values[0] == 0:

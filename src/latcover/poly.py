@@ -171,28 +171,42 @@ def mul(p: Poly, q: Poly) -> Poly:
 def expand(p: Poly) -> tuple[tuple[int, tuple[int, ...]], ...]:
     """``p`` as (coeff, variable indices) terms, one index per unit of
     degree: t1*t2^2 becomes (c, (0, 1, 1)).  Evaluate with
-    :func:`evaluate_column`."""
+    :func:`evaluate_columns`."""
     return tuple(
         (c, tuple(i for i, e in enumerate(m) for _ in range(e)))
         for m, c in p.items()
     )
 
 
-def evaluate_column(terms, points) -> list[int]:
-    """The values at each of ``points`` of the :func:`expand` terms
-    ``terms``, taken a term at a time over the whole column: a term's
-    product runs down the columns of its variables, then adds into the
-    running totals."""
+def evaluate_columns(term_lists, points) -> list[list[int]]:
+    """The values at each of ``points`` of each list of :func:`expand`
+    terms in ``term_lists``, one column per list.  The points are
+    transposed once, and each distinct monomial's column, the product
+    down the columns of its variables, is built once and shared by every
+    list of the call; a term with coefficient 1 adds it unscaled."""
     if not points:
-        return []
+        return [[] for _ in term_lists]
+    n = len(points)
     cols = list(zip(*points))
-    total = [0] * len(points)
-    for c, idx in terms:
-        term = itertools.repeat(c)
-        for i in idx:
-            term = map(operator.mul, term, cols[i])
-        total = list(map(operator.add, total, term))
-    return total
+    monomials = {}
+    out = []
+    # Each product and sum is a list before the next map takes it: a
+    # chain of maps as long as a degree or a term count overflows the C
+    # stack.
+    for terms in term_lists:
+        total = None
+        for c, idx in terms:
+            column = monomials.get(idx)
+            if column is None:
+                column = cols[idx[0]] if idx else [1] * n
+                for i in idx[1:]:
+                    column = list(map(operator.mul, column, cols[i]))
+                monomials[idx] = column
+            if c != 1:
+                column = map(operator.mul, itertools.repeat(c), column)
+            total = column if total is None else list(map(operator.add, total, column))
+        out.append([0] * n if total is None else list(total))
+    return out
 
 
 def leading_term(p: PackedPoly) -> tuple[int, int]:

@@ -394,9 +394,9 @@ def test_minimal_coverings_prune_each_distinct_raw_solution_once(monkeypatch):
     inner_prune = enumeration._prune_ids
     inner_listed = enumeration.possible_predecessors
 
-    def counted(ids, masks, keys):
+    def counted(ids, masks, ranks):
         calls["prune"] += 1
-        return inner_prune(ids, masks, keys)
+        return inner_prune(ids, masks, ranks)
 
     def recorded(tuples, relation=None):
         calls["candidates"] += 1
@@ -424,8 +424,8 @@ def test_catalog_fails_on_a_wrong_prune_drop(monkeypatch):
     # the zero subgroup.
     inner = enumeration._prune_ids
 
-    def drops_too_much(ids, masks, keys):
-        out = inner(ids, masks, keys)
+    def drops_too_much(ids, masks, ranks):
+        out = inner(ids, masks, ranks)
         if sum(1 for i in out if i) == 3:
             out = out[:2] + (0,) * (len(out) - 2)
         return out

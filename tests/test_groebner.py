@@ -40,8 +40,8 @@ BOTTOM_SIGN = {"R": -1, "R2": 1, "S": 1, "RS": -1, "R2S": 1}
 
 def _rows(name, t):
     """The (top, bottom) coefficient pairs of ``name`` evaluated at t."""
-    p1, p2, q1, q2 = (
-        poly.evaluate_column(poly.expand(q), [t])[0] for q in COEFF_POLYS[name]
+    (p1,), (p2,), (q1,), (q2,) = poly.evaluate_columns(
+        [poly.expand(q) for q in COEFF_POLYS[name]], [t]
     )
     return (p1, p2), (q1, q2)
 
@@ -76,12 +76,24 @@ def test_swap_symmetry_exchanges_rows(t):
         assert bot_s == (s * top_t[1], s * top_t[0])
 
 
-#: Polynomials in t1..t4 of degree at most 3 in each variable.
-t_polys = st.dictionaries(
+#: Lists of polynomials in t1..t4, of degree at most 3 in each variable,
+#: over one small pool of monomials that always holds the constant one,
+#: so that the polynomials share monomials; coefficient 1 is drawn about
+#: as often as all the others together.
+t_poly_lists = st.lists(
     st.tuples(*(st.integers(0, 3) for _ in range(4))).map(lambda e: e + (0,) * 4),
-    st.integers(-5, 5).filter(bool),
-    max_size=6,
+    max_size=4,
+).flatmap(
+    lambda pool: st.lists(
+        st.dictionaries(
+            st.sampled_from([poly.ONE_MONO, *pool]),
+            st.one_of(st.just(1), st.integers(-5, 5).filter(lambda c: c not in (0, 1))),
+            max_size=5,
+        ),
+        max_size=5,
+    )
 )
+t_points = st.tuples(*(st.integers(-4, 4) for _ in range(4)))
 
 
 def _termwise(p, t):
@@ -91,20 +103,31 @@ def _termwise(p, t):
     )
 
 
-@given(t_polys, st.tuples(*(st.integers(-4, 4) for _ in range(4))))
-def test_evaluate_matches_termwise_sum(p, t):
-    assert poly.evaluate_column(poly.expand(p), [t]) == [_termwise(p, t)]
+@given(t_poly_lists, t_points)
+def test_evaluate_matches_termwise_sum(polys, t):
+    got = poly.evaluate_columns([poly.expand(p) for p in polys], [t])
+    assert got == [[_termwise(p, t)] for p in polys]
 
 
-@given(t_polys, st.lists(st.tuples(*(st.integers(-4, 4) for _ in range(4))), max_size=8))
-def test_evaluate_column_matches_termwise_sum(p, points):
-    got = poly.evaluate_column(poly.expand(p), points)
-    assert got == [_termwise(p, t) for t in points]
+@given(t_poly_lists, st.lists(t_points, max_size=8))
+def test_evaluate_column_matches_termwise_sum(polys, points):
+    got = poly.evaluate_columns([poly.expand(p) for p in polys], points)
+    assert got == [[_termwise(p, t) for t in points] for p in polys]
 
 
 def test_evaluate_column_on_no_points():
-    assert poly.evaluate_column(poly.expand(COEFF_POLYS["R"][0]), []) == []
-    assert poly.evaluate_column((), []) == []
+    terms = [poly.expand(q) for q in COEFF_POLYS["R"]]
+    assert poly.evaluate_columns(terms, []) == [[], [], [], []]
+    assert poly.evaluate_columns([(), ()], []) == [[], []]
+    assert poly.evaluate_columns([], []) == []
+
+
+def test_evaluate_columns_on_many_terms_and_a_high_degree():
+    # Sums and products are lists at each step, not chains of maps as
+    # deep as the term count or the degree, which overflow the C stack.
+    n = 300_000
+    assert poly.evaluate_columns([[(2, (0,))] * n], [(1, 2, 3, 4)]) == [[2 * n]]
+    assert poly.evaluate_columns([[(1, (1,) * n)]], [(5, -1, 0, 0)]) == [[1]]
 
 
 small_polys = st.lists(
@@ -538,8 +561,7 @@ def _full_search_mod7(elements, kind):
         if (kind == "pair" and any(t))
         or (kind == "triple" and (t[0] or t[2]) and (t[1] or t[3]))
     ]
-    columns = [poly.evaluate_column(poly.expand(q), points) for q in polys]
-    return any(all(v % 7 == 0 for v in row) for row in zip(*columns))
+    return any(all(_termwise(q, t) % 7 == 0 for q in polys) for t in points)
 
 
 def test_projective_oracle_matches_full_search():

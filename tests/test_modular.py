@@ -23,7 +23,7 @@ from latcover.modular import (
     scan_pair_classes,
     scan_quadratic_forms_mod9,
 )
-from latcover.poly import evaluate_column, expand
+from latcover.poly import evaluate_columns, expand
 
 tuples4 = st.tuples(*(st.integers(-30, 30) for _ in range(4)))
 
@@ -164,6 +164,23 @@ def test_scan_mod4_clauses():
         assert (2, 0) in top_pairs(t, 4)
 
 
+def test_failed_badness_clause_lists_every_tuple_it_applies_to(monkeypatch):
+    # The badness bound applies where gcd(t1, t3) is odd; each such
+    # tuple's pairs reach _badness, and each fails when it reports 2.
+    from latcover import modular
+
+    seen = []
+    monkeypatch.setattr(modular, "_badness", lambda pairs: seen.append(pairs) or 2)
+    report = scan_pair_classes(4)
+    applies = [
+        t for t in itertools.product(range(4), repeat=4)
+        if math.gcd(t[1], math.gcd(t[3], 4)) == 1 and (t[0] % 2 or t[2] % 2)
+    ]
+    assert [clause for clause, ok in report.clauses.items() if not ok] == ["badness-at-most-1"]
+    assert report.violations == applies
+    assert seen == [top_pairs(t, 4) for t in applies]
+
+
 def test_scan_rejects_other_moduli():
     with pytest.raises(ValueError):
         scan_pair_classes(7)
@@ -210,8 +227,8 @@ def test_quadratic_forms_are_the_coeff_polys_entries():
         "R2S": lambda u, v: v * v + 2 * u * v,  # D
     }
     points = [(u, 0, v, 0) for u in range(-5, 6) for v in range(-5, 6)]
-    for e, form in forms.items():
-        got = evaluate_column(expand(COEFF_POLYS[e][2]), points)
+    columns = evaluate_columns([expand(COEFF_POLYS[e][2]) for e in forms], points)
+    for (e, form), got in zip(forms.items(), columns):
         assert got == [form(u, v) for u, _, v, _ in points], e
 
 
@@ -238,7 +255,10 @@ def test_run_all_scans_green():
 def test_failed_low_order_clause_lists_offending_tuples(monkeypatch, x):
     from latcover import modular
 
-    monkeypatch.setattr(modular, "low_order_count", lambda pairs, n: 2)
+    # Every row of keys reports a low-order count of 2 and keeps its
+    # class count.
+    counts = modular._counts
+    monkeypatch.setattr(modular, "_counts", lambda keys: (counts(keys)[0], 2))
     report = scan_pair_classes(x)
     failed = [clause for clause, ok in report.clauses.items() if not ok]
     assert failed and all(clause.startswith("low-order") for clause in failed)
