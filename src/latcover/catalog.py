@@ -4,7 +4,6 @@ and the per-length verification checks.
 
 from __future__ import annotations
 
-import math
 import re
 
 from .enumeration import (
@@ -15,7 +14,7 @@ from .enumeration import (
     possible_predecessors,
     precedes,
 )
-from .lattices import Subgroup, ZERO, canonicalize, density_sum, index, is_cover
+from .lattices import Subgroup, ZERO, canonicalize, density_sum, index, is_cover, xgcd
 from .mat2 import MAX_NUMBER_LENGTH
 from .value import Value
 
@@ -49,15 +48,11 @@ def column_form(s: Subgroup) -> tuple[int, int, int, int]:
     if s.rank != 2:
         raise ValueError("column form requires rank 2")
     (a, _), (c, b) = s.gens
-    g = math.gcd(a, c) if c else a
+    # Smallest y with (g, y) in the subgroup: k*c = g (mod a) gives
+    # k*(c, b) = (g, b*k) minus a multiple of (a, 0).
+    g, k, _ = xgcd(c, a)
     b2 = b * (a // g)
-    if c:
-        # Smallest y with (g, y) in the subgroup: solve k*c = g (mod a).
-        k = pow(c // g, -1, a // g)
-        c2 = (b * k) % b2
-    else:
-        c2 = 0
-    return (g, 0, c2, b2)
+    return (g, 0, b * k % b2, b2)
 
 
 def subgroup_text(s: Subgroup) -> str:

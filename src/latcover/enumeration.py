@@ -19,8 +19,7 @@ output instead: it prunes each distinct raw tuple once, on the masks,
 and runs the exact :func:`~latcover.lattices.is_cover` on each of the
 101 distinct pruned forms.  A raw tuple's slots include its pruned
 form's, so this covers every raw tuple.  The tables live as long as the
-caller keeps the :class:`Search`; only the forcing-point masks, memoized
-by basis, outlive it.
+caller keeps the :class:`Search`.
 
 The minimality filter decides containment once: :func:`containment`
 tests each ordered pair of the 80 distinct subgroups of the candidates,
@@ -31,8 +30,6 @@ matches slots on its bits.
 """
 
 from __future__ import annotations
-
-from functools import lru_cache
 
 from .lattices import (
     FULL,
@@ -81,15 +78,7 @@ class ForcingListExhausted(RuntimeError):
 #: The mask of a union that contains every forcing point.
 _FULL_MASK = (1 << len(FORCING_POINTS)) - 1
 
-#: Size of the forcing-point mask memo, the one table that outlives a
-#: search.  A mask is computed when a :class:`Search` interns a subgroup;
-#: the search reaches 185 distinct subgroups, so they fit with room to
-#: spare, and the tuples other callers pass to :func:`prune` cannot grow
-#: the memo further.
-_MEMO_SIZE = 4096
 
-
-@lru_cache(maxsize=_MEMO_SIZE)
 def _mask(gens: tuple) -> int:
     """Bit i is set iff the subgroup with basis ``gens`` contains
     ``FORCING_POINTS[i]``.  Rank-2 membership is decided inline, as
@@ -200,37 +189,22 @@ def find_lattices(
     return solutions
 
 
-def prune(t: CoveringTuple) -> CoveringTuple:
-    """The normal form of a covering tuple with its redundant slots dropped.
-
-    Each slot in turn, in slot order, is replaced by the zero subgroup if
-    the other slots' forcing-point masks together are full.  By the
-    forcing property (at most ``SLOTS`` subgroups whose union contains
-    every forcing point cover Z^2) the rest then still covers, and a
-    missed forcing point shows that it does not, so no exact test runs.
-    The surviving slots come back sorted by (index, basis), followed by
-    the zero slots, so tuples that differ only in slot order prune to
-    equal tuples.  Raises ValueError for more than ``SLOTS`` slots, where
-    the forcing property says nothing.  Runs :func:`_prune_ids` on a new
-    :class:`Search`'s tables.
-
-    A wrong drop is not silent.  It yields a pruned form that does not
-    cover, and the certification of :func:`raw_solutions`, which runs
-    the exact test on every distinct pruned form, raises ValueError.
-    """
-    if len(t) > SLOTS:
-        raise ValueError(f"{len(t)} slots, more than {SLOTS}")
-    search = Search()
-    ids = search.ids(t)
-    return search.tuple_of(_prune_ids(ids, search.masks, _slot_ranks(search.subgroups)))
-
-
 def _prune_ids(
     ids: tuple[int, ...], masks: list[int], ranks: list[int]
 ) -> tuple[int, ...]:
-    """:func:`prune` on a tuple of ids of one :class:`Search`, given its
-    ``masks`` and the :func:`_slot_ranks` of its subgroups; id 0 is the
-    zero subgroup."""
+    """The normal form of a covering tuple of ids of one :class:`Search`,
+    given its ``masks`` and the :func:`_slot_ranks` of its subgroups, with
+    its redundant slots dropped; id 0 is the zero subgroup.
+
+    Each slot in turn, in slot order, becomes id 0 if the other slots'
+    masks together are full.  By the forcing property the rest then still
+    covers, and a missed forcing point shows that it does not, so no
+    exact test runs.  The kept slots come back sorted by (index, basis),
+    followed by the zero slots, so tuples that differ only in slot order
+    prune to equal tuples.  A wrong drop yields a pruned form that does
+    not cover, and the certification of :func:`raw_solutions` raises
+    ValueError on it.
+    """
     # after[k] is the OR of the masks of slots k + 1 on, none dropped yet;
     # before is the OR of the masks of the slots kept so far.
     after = [0] * len(ids)
@@ -283,7 +257,7 @@ def containment(tuples) -> dict[tuple, tuple[int, int]]:
     return relation
 
 
-def precedes(a: CoveringTuple, b: CoveringTuple, relation=None) -> bool:
+def precedes(a: CoveringTuple, b: CoveringTuple, relation) -> bool:
     """The permutation partial order: a <= b iff some permutation sigma
     has every generator of a[i] inside b[sigma(i)].
 
@@ -293,10 +267,8 @@ def precedes(a: CoveringTuple, b: CoveringTuple, relation=None) -> bool:
     ``a`` are listed one slot at a time, and the answer is False as soon
     as one slot of ``a`` has none; a matching search runs over the lists.
     Containment is read off ``relation``, a :func:`containment` over
-    tuples that include ``a`` and ``b``, or one built over the two.
+    tuples that include ``a`` and ``b``.
     """
-    if relation is None:
-        relation = containment((a, b))
     k = len(a) - 1
     for i, s in enumerate(a):
         if not s.gens:
@@ -333,20 +305,17 @@ def _canonical_sort_key(t: CoveringTuple):
     return tuple(sorted((index(s) if s.rank == 2 else 0, s.gens) for s in t))
 
 
-def possible_predecessors(tuples, relation=None) -> list[list[int]]:
+def possible_predecessors(tuples, relation) -> list[list[int]]:
     """For each tuple c of ``tuples``, the positions of the tuples o whose
     slots each lie inside some slot of c, c's own included.
 
     Each slot of o that :func:`precedes` matches is inside a slot of c,
     so every o with ``precedes(o, c)`` is listed for c; the exact test
     decides the rest.  Reads ``relation``, a :func:`containment` over
-    ``tuples`` or one built over them, into two ints per tuple: the bits
-    of its slots, and the bits of the subgroups inside one of them.
-    Tuples are told apart by position, since a list may hold one tuple
-    object twice.
+    ``tuples``, into two ints per tuple: the bits of its slots, and the
+    bits of the subgroups inside one of them.  Tuples are told apart by
+    position, since a list may hold one tuple object twice.
     """
-    if relation is None:
-        relation = containment(tuples)
     own, reach = [], []
     for t in tuples:
         o = r = 0

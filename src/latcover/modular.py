@@ -14,9 +14,9 @@ Each scan lists its residue tuples first and evaluates all its
 polynomials over them in one ``poly.evaluate_columns`` call, which
 builds each shared monomial's column once.  A pair's class is one key
 from a table of the n^2 residue pairs, built once per process for each
-modulus up to 9 and read a column of pairs at a time; the key of a
-low-order pair is None.  :func:`_counts` turns a row of keys into the
-class count and the low-order count.
+modulus the scans read (3, 4 and 5) and read a column of pairs at a
+time; the key of a low-order pair is None.  :func:`_counts` turns a row
+of keys into the class count and the low-order count.
 """
 
 from __future__ import annotations
@@ -66,10 +66,15 @@ def _pairs_mod(row, n: int) -> tuple[tuple[int, int], ...]:
 
 
 def _class_key(p: int, q: int, n: int, units) -> tuple[int, int] | None:
-    """The unit-scaling class of the pair (p, q) mod n, named by its
-    least unit multiple ``min((k*p % n, k*q % n) for k in units)``, or
-    None when the pair is low-order: both coordinates share a factor
-    with the modulus."""
+    """The unit-scaling class of the pair (p, q) mod n, or None when the
+    pair is low-order: both coordinates share a factor with the modulus.
+
+    Two full-order pairs share a class when one is a unit multiple of
+    the other mod n; a class is named by its least member,
+    ``min((k*p % n, k*q % n) for k in units)``.  Scaling by a unit keeps
+    the gcd of each coordinate with n, so no full-order pair is a unit
+    multiple of a low-order one.
+    """
     if math.gcd(p, n) != 1 and math.gcd(q, n) != 1:
         return None
     return min([(k * p % n, k * q % n) for k in units])
@@ -79,28 +84,17 @@ def _units(n: int) -> list[int]:
     return [k for k in range(n) if math.gcd(k, n) == 1]
 
 
-#: The moduli whose class keys are tabulated: those of every scan.
-_TABULATED = range(1, 10)
-
-
 @functools.cache
 def _key_table(n: int) -> tuple:
-    """The class key of every residue pair (p, q) mod n, at p*n + q; n
-    lies in ``_TABULATED``, so the memo holds at most 285 keys."""
+    """The class key of every residue pair (p, q) mod n, at p*n + q."""
     units = _units(n)
     return tuple(_class_key(p, q, n, units) for p in range(n) for q in range(n))
 
 
-def _class_keys(pairs, n: int) -> list:
-    if n in _TABULATED:
-        table = _key_table(n)
-        return [table[p % n * n + q % n] for p, q in pairs]
-    units = _units(n)
-    return [_class_key(p, q, n, units) for p, q in pairs]
-
-
 def _counts(keys) -> tuple[int, int]:
-    """The class count and the low-order count of one row of class keys."""
+    """The class count and the low-order count of one row of class keys:
+    the number of low-order pairs plus the number of classes among the
+    full-order ones, and the number of low-order pairs."""
     low = keys.count(None)
     return low + len(set(keys)) - (low > 0), low
 
@@ -112,25 +106,6 @@ def _row_counts(columns, n: int):
     pairs = [zip(columns[k], columns[k + 1]) for k in range(0, 10, 2)]
     keys = [[table[p % n * n + q % n] for p, q in col] for col in pairs]
     return map(_counts, zip(itertools.repeat(table[1 % n * n]), *keys))
-
-
-def class_count(pairs, n: int) -> int:
-    """Number of low-order pairs plus the number of unit-scaling classes
-    among the full-order ones.
-
-    A pair counts as low-order when both coordinates share a factor with
-    the modulus.  Two full-order pairs share a class when one is a unit
-    multiple of the other mod n; a class is named by its least member,
-    ``min((k*p % n, k*q % n) for k in units)``.  Scaling by a unit keeps
-    the gcd of each coordinate with n, so no full-order pair is a unit
-    multiple of a low-order one, and this is the count of pairs that are
-    low-order or not a unit multiple of an earlier pair in the list.
-    """
-    return _counts(_class_keys(pairs, n))[0]
-
-
-def low_order_count(pairs, n: int) -> int:
-    return _counts(_class_keys(pairs, n))[1]
 
 
 #: Pairs mod 4 whose presence among the unit-scaled full-order pairs is

@@ -140,7 +140,7 @@ def test_precedes_runs_only_on_prefiltered_pairs(monkeypatch, catalog):
     calls = Counter()
     inner = enumeration.precedes
 
-    def counted(a, b, relation=None):
+    def counted(a, b, relation):
         calls["precedes"] += 1
         return inner(a, b, relation)
 

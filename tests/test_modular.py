@@ -13,10 +13,11 @@ from latcover.modular import (
     BAD_TUPLES_MOD3,
     BAD_TUPLE_REPS,
     TRIPLE_VANISHING_TUPLES,
+    _class_key,
+    _counts,
     _pairs_mod,
     _top_rows,
-    class_count,
-    low_order_count,
+    _units,
     run_all_scans,
     scan_first_coefficient_vanishing,
     scan_lifted_classes,
@@ -34,6 +35,14 @@ def top_pairs(t, n):
     return _pairs_mod(_top_rows([t])[0], n)
 
 
+def key_counts(pairs, n):
+    """The class count and the low-order count of ``pairs`` mod n by the
+    scans' rule, ``_counts``, on keys computed here by ``_class_key``, so
+    that no test modulus enters the scans' per-process key tables."""
+    units = _units(n)
+    return _counts([_class_key(p, q, n, units) for p, q in pairs])
+
+
 def test_identity_pair_is_first():
     assert top_pairs((1, 2, 3, 4), 5)[0] == (1, 0)
 
@@ -41,21 +50,21 @@ def test_identity_pair_is_first():
 @given(tuples4, st.sampled_from([3, 4, 5]))
 def test_class_count_bounds(t, n):
     pairs = top_pairs(t, n)
-    count = class_count(pairs, n)
+    count, low = key_counts(pairs, n)
     assert 1 <= count <= len(pairs)
-    assert low_order_count(pairs, n) <= count
+    assert low <= count
 
 
 def test_class_count_examples():
     # Unit multiples collapse into one class; low-order pairs each count.
-    assert class_count([(1, 0), (2, 0)], 3) == 1
-    assert class_count([(1, 0), (0, 1)], 3) == 2
-    assert class_count([(0, 0), (0, 0)], 3) == 2
-    assert class_count([(1, 2), (2, 4), (2, 1)], 5) == 2
+    assert key_counts([(1, 0), (2, 0)], 3)[0] == 1
+    assert key_counts([(1, 0), (0, 1)], 3)[0] == 2
+    assert key_counts([(0, 0), (0, 0)], 3)[0] == 2
+    assert key_counts([(1, 2), (2, 4), (2, 1)], 5)[0] == 2
 
 
 def _pairwise_class_count(pairs, n):
-    """Reference ``class_count``: a full-order pair opens a class unless
+    """Reference class count: a full-order pair opens a class unless
     a unit multiple of it appears earlier in the list."""
     total = 0
     for i, (p, q) in enumerate(pairs):
@@ -90,7 +99,7 @@ def _pairwise_class_count(pairs, n):
 )
 def test_class_count_matches_pairwise_definition(case):
     n, pairs = case
-    assert class_count(pairs, n) == _pairwise_class_count(pairs, n)
+    assert key_counts(pairs, n)[0] == _pairwise_class_count(pairs, n)
 
 
 @given(
@@ -105,34 +114,27 @@ def test_class_count_matches_pairwise_definition(case):
     )
 )
 def test_class_keys_on_unreduced_and_negative_pairs(case):
-    # Entries outside 0..n-1 read the same key as their residues, for the
-    # tabulated moduli (n <= 9) and the others alike.
+    # Entries outside 0..n-1 get the same key as their residues.
     n, pairs = case
-    assert class_count(pairs, n) == _pairwise_class_count(pairs, n)
-    assert low_order_count(pairs, n) == sum(
+    assert key_counts(pairs, n)[0] == _pairwise_class_count(pairs, n)
+    assert key_counts(pairs, n)[1] == sum(
         1 for p, q in pairs if math.gcd(p, n) != 1 and math.gcd(q, n) != 1
     )
 
 
-def test_class_count_for_a_large_modulus_builds_no_table(monkeypatch):
+def test_run_all_scans_tabulates_only_the_scan_moduli(monkeypatch):
     from latcover import modular
 
-    tabulated = []
+    tabulated = set()
     key_table = modular._key_table
 
     def recording_key_table(n):
-        tabulated.append(n)
-        assert n < 100, f"would tabulate {n}**2 class keys"
+        tabulated.add(n)
         return key_table(n)
 
     monkeypatch.setattr(modular, "_key_table", recording_key_table)
-    n = 10**6
-    pairs = [(1, 0), (3, -n), (2, 4)]  # (3, -n) is 3 * (1, 0); (2, 4) is low-order
-    assert class_count(pairs, n) == 2
-    assert low_order_count(pairs, n) == 1
-    assert class_count(pairs, 5) == _pairwise_class_count(pairs, 5)
-    assert tabulated == [5]
-    assert key_table.cache_info().currsize <= len(modular._TABULATED)
+    run_all_scans()
+    assert tabulated == {3, 4, 5}
 
 
 def test_scan_mod5_no_exceptions():
