@@ -9,6 +9,7 @@ import re
 from .enumeration import (
     SLOTS,
     CoveringTuple,
+    Search,
     containment,
     enumerate_minimal_coverings,
     possible_predecessors,
@@ -163,8 +164,8 @@ class Catalog:
         return [e for e in self.entries if e.length == k]
 
 
-def generate_catalog() -> Catalog:
-    entries = [canonical_entry(t) for t in enumerate_minimal_coverings()]
+def generate_catalog(search: Search | None = None) -> Catalog:
+    entries = [canonical_entry(t) for t in enumerate_minimal_coverings(search)]
     entries.sort(key=lambda e: (e.length, e.indices, e.text()))
     return Catalog(entries)
 

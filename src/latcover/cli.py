@@ -10,9 +10,8 @@ import sys
 import time
 
 from . import catalog as catalog_mod
-from . import forms, groebner, modular
-from .catalog import CheckResult
-from .enumeration import raw_solutions
+from . import claims, forms, groebner, modular
+from .enumeration import Search
 from .mat2 import parse_mat2, parse_rational
 
 EX_USAGE = 64
@@ -33,7 +32,7 @@ def _emit(args, payload: dict, lines) -> None:
             print(line)
 
 
-def _emit_checks(args, command: str, results: list[CheckResult],
+def _emit_checks(args, command: str, results: list[catalog_mod.CheckResult],
                  summary: bool = False) -> int:
     """Report named checks as JSON or as one PASS/FAIL line each.
 
@@ -65,11 +64,11 @@ def _emit_checks(args, command: str, results: list[CheckResult],
 def _cmd_enumerate(args) -> int:
     lines = []
     payload: dict = {"command": "enumerate"}
+    search = Search()
+    cat = catalog_mod.generate_catalog(search)
     if args.raw_count:
-        raw = len(raw_solutions())
-        payload["raw_count"] = raw
-        lines.append(f"raw solutions: {raw}")
-    cat = catalog_mod.generate_catalog()
+        payload["raw_count"] = len(search.solutions)
+        lines.append(f"raw solutions: {len(search.solutions)}")
     payload["minimal_count"] = len(cat.entries)
     payload["counts_by_length"] = {
         str(k): len(cat.by_length(k)) for k in (3, 4, 5, 6)
@@ -85,11 +84,10 @@ def _cmd_enumerate(args) -> int:
 
 
 def _cmd_verify_catalog(args) -> int:
-    if args.infile:
-        with open(args.infile) as fh:
-            cat = catalog_mod.parse(fh.read(catalog_mod.MAX_CATALOG_CHARS + 1))
-    else:
-        cat = catalog_mod.generate_catalog()
+    if not args.infile:
+        return _emit_checks(args, "verify-catalog", claims.catalog_checks())
+    with open(args.infile) as fh:
+        cat = catalog_mod.parse(fh.read(catalog_mod.MAX_CATALOG_CHARS + 1))
     return _emit_checks(args, "verify-catalog", catalog_mod.verify_catalog(cat))
 
 
@@ -160,37 +158,7 @@ def _cmd_form(args) -> int:
 
 
 def _cmd_verify_all(args) -> int:
-    checks = [
-        CheckResult(f"catalog/{r.name}", r.ok, r.detail)
-        for r in catalog_mod.verify_catalog(catalog_mod.generate_catalog())
-    ]
-    checks += [
-        CheckResult(
-            f"modular/{r.name}-mod-{r.modulus}", r.ok, str(r.context or "")
-        )
-        for r in modular.run_all_scans()
-    ]
-    checks += [
-        CheckResult(
-            "groebner/" + "-".join(v.elements), v.ok, f"3 in ideal = {v.contains_3}"
-        )
-        for v in groebner.verify_all(groebner.certificate_bases())
-    ]
-    reference_forms = (  # name, form, conjugator, variant, extraordinary
-        ("F0", forms.F0, parse_mat2("1,0;0,1"), "d3", True),
-        ("sextic-1-0", forms.sextic(1, 0), forms.SEXTIC_CONJUGATOR, "d6", True),
-        ("XY(X+3Y)", forms.BinaryForm.of(0, 1, 3, 0), parse_mat2("1/3,0;0,1"),
-         "d3", False),
-    )
-    for name, f, conj, variant, want in reference_forms:
-        got = forms.extraordinary_by_C3(f, conj, variant)
-        checks.append(CheckResult(f"form/{name}", got == want, f"extraordinary: {got}"))
-    rep = forms.cross_value_check(forms.F0, forms.dagger(forms.F0), 10, 60)
-    checks.append(CheckResult(
-        "form/value-sets-F0-vs-companion", rep.ok,
-        f"unmatched {len(rep.unmatched_f)} and {len(rep.unmatched_g)} values",
-    ))
-    return _emit_checks(args, "verify-all", checks, summary=True)
+    return _emit_checks(args, "verify-all", claims.checks(), summary=True)
 
 
 def build_parser() -> _Parser:

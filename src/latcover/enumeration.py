@@ -406,19 +406,19 @@ def raw_solutions(
     return out
 
 
-def enumerate_minimal_coverings() -> list[CoveringTuple]:
+def enumerate_minimal_coverings(search: Search | None = None) -> list[CoveringTuple]:
     """The minimal coverings of Z^2 by up to six subgroups.
 
-    Runs :func:`raw_solutions` once, on tables it keeps, and takes as
-    candidates the distinct pruned forms it certified, in which raw
-    solutions differing only in slot order meet.  Only these become
-    subgroup tuples again; it sorts them, then keeps only those not
-    preceded by another candidate.  One :func:`containment` over the
+    Runs :func:`raw_solutions` once, on ``search`` or on new tables,
+    and takes as candidates the distinct pruned forms it certified, in
+    which raw solutions differing only in slot order meet.  Only these
+    become subgroup tuples again; it sorts them, then keeps only those
+    not preceded by another candidate.  One :func:`containment` over the
     candidates serves :func:`possible_predecessors` and the exact
     :func:`precedes` test, which runs only on the pairs the former
     lists.  The outcome does not depend on the traversal order.
     """
-    search = Search()
+    search = search or Search()
     raw_solutions(search=search)
     candidates = sorted(map(search.tuple_of, search.pruned), key=_canonical_sort_key)
     relation = containment(candidates)

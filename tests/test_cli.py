@@ -3,6 +3,7 @@ import io
 import json
 import re
 import shlex
+import sys
 import time
 from pathlib import Path
 
@@ -10,6 +11,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from latcover import claims, enumeration
 from latcover.catalog import MAX_CATALOG_CHARS, serialize
 from latcover.cli import EX_USAGE, main
 from latcover.forms import MAX_BOX_RADIUS, MAX_DEGREE
@@ -281,9 +283,16 @@ def test_form_check_zero_division_exits_2(capsys, argv):
     assert err.startswith("error:")
 
 
+def _use_fixtures(monkeypatch, catalog, reduced_bases):
+    """Serve the session's catalog and bases instead of computing them."""
+    monkeypatch.setattr(
+        "latcover.catalog.generate_catalog", lambda search=None: catalog
+    )
+    monkeypatch.setattr("latcover.groebner.certificate_bases", lambda: reduced_bases)
+
+
 def test_verify_all_text_and_json(capsys, monkeypatch, catalog, reduced_bases):
-    monkeypatch.setattr("latcover.cli.catalog_mod.generate_catalog", lambda: catalog)
-    monkeypatch.setattr("latcover.cli.groebner.certificate_bases", lambda: reduced_bases)
+    _use_fixtures(monkeypatch, catalog, reduced_bases)
     code, text, _ = run(capsys, "verify-all")
     assert code == 0
     code, out, _ = run(capsys, "--format", "json", "verify-all")
@@ -307,6 +316,46 @@ def test_verify_all_text_and_json(capsys, monkeypatch, catalog, reduced_bases):
     } <= set(names)
     assert len(names) == len(set(names)) == 10 + 8 + 20 + 4
     assert text.splitlines() == [f"PASS {n}" for n in names] + ["all checks passed"]
+    assert [n.split("/", 1)[0] for n in names] == [
+        group for (group, _), k in zip(claims.GROUPS, (10, 8, 20, 4)) for _ in range(k)
+    ]
+    code, out, _ = run(capsys, "--format", "json", "verify-catalog")
+    assert code == 0
+    assert [n for n in names if n.startswith("catalog/")] == [
+        "catalog/" + c["name"] for c in json.loads(out)["checks"]
+    ]
+
+
+def test_verify_all_reports_a_failed_claim(capsys, monkeypatch, catalog, reduced_bases):
+    # XY(X+3Y) is the reference form expected not to be extraordinary.
+    _use_fixtures(monkeypatch, catalog, reduced_bases)
+    monkeypatch.setattr("latcover.forms.extraordinary_by_C3", lambda *args: True)
+    code, text, _ = run(capsys, "verify-all")
+    assert code == 1
+    lines = text.splitlines()
+    assert [line for line in lines if line.startswith("FAIL")] == ["FAIL form/XY(X+3Y)"]
+    assert lines[-1] == "1 failure(s): form/XY(X+3Y)"
+    code, out, _ = run(capsys, "--format", "json", "verify-all")
+    assert code == 1
+    assert json.loads(out)["ok"] is False
+
+
+def test_enumerate_raw_count_searches_once(capsys, monkeypatch):
+    # Wrap raw_solutions wherever a latcover module holds it.
+    calls = []
+    inner = enumeration.raw_solutions
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return inner(*args, **kwargs)
+
+    for name, module in list(sys.modules.items()):
+        if name.startswith("latcover") and getattr(module, "raw_solutions", None) is inner:
+            monkeypatch.setattr(module, "raw_solutions", counted)
+    code, out, _ = run(capsys, "--format", "json", "enumerate", "--raw-count")
+    assert code == 0
+    assert json.loads(out)["raw_count"] == 6131
+    assert len(calls) == 1
 
 
 def test_verify_modular_mod9_names_representatives(capsys):
@@ -325,8 +374,7 @@ def _readme_cli_lines():
 def test_readme_cli_examples_run(
     capsys, monkeypatch, tmp_path, catalog, reduced_bases
 ):
-    monkeypatch.setattr("latcover.cli.catalog_mod.generate_catalog", lambda: catalog)
-    monkeypatch.setattr("latcover.cli.groebner.certificate_bases", lambda: reduced_bases)
+    _use_fixtures(monkeypatch, catalog, reduced_bases)
     monkeypatch.chdir(tmp_path)
     lines = _readme_cli_lines()
     assert len(lines) == 7
