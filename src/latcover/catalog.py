@@ -113,9 +113,6 @@ class CatalogEntry(Value):
 
     __slots__ = ("lattices",)
 
-    def __init__(self, lattices: tuple[Subgroup, ...]):
-        object.__setattr__(self, "lattices", lattices)
-
     @property
     def length(self) -> int:
         return len(self.lattices)
@@ -156,9 +153,10 @@ def entry_from_texts(texts) -> CatalogEntry:
     return canonical_entry(tuple(parse_subgroup(t) for t in texts))
 
 
-class Catalog:
-    def __init__(self, entries: list[CatalogEntry]):
-        self.entries = entries
+class Catalog(Value):
+    """The minimal coverings, as a list of :class:`CatalogEntry`."""
+
+    __slots__ = ("entries",)
 
     def by_length(self, k: int) -> list[CatalogEntry]:
         return [e for e in self.entries if e.length == k]
@@ -224,11 +222,10 @@ COVER_4_6 = ("1,0;0,4", "4,0;0,1", "1,0;1,4", "1,0;3,4", "1,0;2,4", "2,0;1,2")
 COVER_5_6 = ("1,0;0,5", "5,0;0,1", "1,0;1,5", "1,0;4,5", "1,0;2,5", "1,0;3,5")
 
 
-class CheckResult:
-    def __init__(self, name: str, ok: bool, detail: str = ""):
-        self.name = name
-        self.ok = ok
-        self.detail = detail
+class CheckResult(Value):
+    """One named check: whether it passed, and a detail that may be empty."""
+
+    __slots__ = ("name", "ok", "detail")
 
 
 def _pad(entry: CatalogEntry) -> CoveringTuple:

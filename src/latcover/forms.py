@@ -25,9 +25,6 @@ class BinaryForm(Value):
 
     __slots__ = ("coeffs",)
 
-    def __init__(self, coeffs: tuple[Fraction, ...]):
-        object.__setattr__(self, "coeffs", coeffs)
-
     @staticmethod
     def of(*coeffs) -> "BinaryForm":
         if len(coeffs) > MAX_DEGREE + 1:
@@ -261,13 +258,13 @@ def sextic(a: int, c: int) -> BinaryForm:
     return f
 
 
-class ValueWitness:
-    def __init__(self, value: int, point: tuple[int, int]):
-        self.value = value
-        self.point = point
+class ValueWitness(Value):
+    """A value of a form and a point where the form takes it."""
+
+    __slots__ = ("value", "point")
 
 
-class CompareReport:
+class CompareReport(Value):
     """Outcome of the two-directional boxed value-set comparison.
 
     ``unmatched_f`` holds values of the first form on the small box with
@@ -276,12 +273,7 @@ class CompareReport:
     equality.
     """
 
-    def __init__(self, n: int, m: int, unmatched_f: list[ValueWitness],
-                 unmatched_g: list[ValueWitness]):
-        self.n = n
-        self.m = m
-        self.unmatched_f = unmatched_f
-        self.unmatched_g = unmatched_g
+    __slots__ = ("n", "m", "unmatched_f", "unmatched_g")
 
     @property
     def ok(self) -> bool:

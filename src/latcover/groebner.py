@@ -19,6 +19,7 @@ import math
 from . import poly
 from .lattices import xgcd
 from .poly import GUARD, Poly, leading_term, normal_form
+from .value import Value
 
 T1, T2, T3, T4 = (poly.variable(n) for n in ("t1", "t2", "t3", "t4"))
 U1, U2, U3, U4 = (poly.variable(n) for n in ("u1", "u2", "u3", "u4"))
@@ -256,15 +257,10 @@ def triple_system(e1: str, e2: str, e3: str) -> list[Poly]:
     ]
 
 
-class Verdict:
+class Verdict(Value):
     """Outcome of one ideal-membership certificate."""
 
-    def __init__(self, elements: tuple[str, ...], contains_3: bool,
-                 expected: bool, extra: dict | None = None):
-        self.elements = elements
-        self.contains_3 = contains_3
-        self.expected = expected
-        self.extra = extra
+    __slots__ = ("elements", "contains_3", "expected", "extra")
 
     @property
     def ok(self) -> bool:

@@ -40,12 +40,6 @@ class RatMat2(Value):
 
     __slots__ = ("a", "b", "c", "d")
 
-    def __init__(self, a: Fraction, b: Fraction, c: Fraction, d: Fraction):
-        object.__setattr__(self, "a", a)
-        object.__setattr__(self, "b", b)
-        object.__setattr__(self, "c", c)
-        object.__setattr__(self, "d", d)
-
     @staticmethod
     def of(a, b, c, d) -> "RatMat2":
         return RatMat2(Fraction(a), Fraction(b), Fraction(c), Fraction(d))

@@ -27,6 +27,7 @@ import math
 
 from .groebner import COEFF_POLYS, ELEMENT_NAMES
 from .poly import evaluate_columns, expand
+from .value import Value
 
 #: Exceptional residue tuples mod 3: all five non-identity coefficient
 #: pairs vanish exactly on these.
@@ -133,21 +134,10 @@ def _badness(pairs) -> int:
     return counter
 
 
-class ScanReport:
-    """Outcome of one exhaustive residue scan.  Each collection left out
-    of the call starts as a new empty one."""
+class ScanReport(Value):
+    """Outcome of one exhaustive residue scan, as :func:`_settle` builds it."""
 
-    def __init__(self, name: str, modulus: int,
-                 clauses: dict[str, bool] | None = None,
-                 exceptional: list | None = None,
-                 violations: list | None = None,
-                 context: dict | None = None):
-        self.name = name
-        self.modulus = modulus
-        self.clauses = {} if clauses is None else clauses
-        self.exceptional = [] if exceptional is None else exceptional
-        self.violations = [] if violations is None else violations
-        self.context = {} if context is None else context
+    __slots__ = ("name", "modulus", "clauses", "exceptional", "violations", "context")
 
     @property
     def ok(self) -> bool:
@@ -165,13 +155,14 @@ class ScanReport:
         }
 
 
-def _settle(report: ScanReport, offending: dict) -> ScanReport:
-    """Every scan's report rule: a clause holds iff it has no offending
-    tuple, and ``violations`` lists each offending tuple once, in clause
-    order."""
-    report.clauses = {clause: not tuples for clause, tuples in offending.items()}
-    report.violations = list(dict.fromkeys(t for ts in offending.values() for t in ts))
-    return report
+def _settle(name: str, modulus: int, offending: dict, exceptional: list,
+            context: dict) -> ScanReport:
+    """Every scan's report, by one rule: a clause holds iff it has no
+    offending tuple, and ``violations`` lists each offending tuple once, in
+    clause order."""
+    clauses = {clause: not tuples for clause, tuples in offending.items()}
+    violations = list(dict.fromkeys(t for ts in offending.values() for t in ts))
+    return ScanReport(name, modulus, clauses, exceptional, violations, context)
 
 
 def scan_pair_classes(x: int) -> ScanReport:
@@ -179,7 +170,6 @@ def scan_pair_classes(x: int) -> ScanReport:
     count of the six coefficient pairs."""
     if x not in (3, 4, 5):
         raise ValueError("modulus must be 3, 4 or 5")
-    report = ScanReport(name="pair-classes", modulus=x)
     exceptional = []
     z_violations = []
     mod4_shape_violations = []
@@ -202,7 +192,6 @@ def scan_pair_classes(x: int) -> ScanReport:
                 mod4_shape_violations.append(t)
             if odd and _badness(pairs) > 1:
                 badness_violations.append(t)
-    report.exceptional = exceptional
     if x == 5:
         offending = {
             "no-exceptional-tuples": exceptional,
@@ -226,7 +215,7 @@ def scan_pair_classes(x: int) -> ScanReport:
                 t for t in z_violations if t not in bad
             ],
         }
-    return _settle(report, offending)
+    return _settle("pair-classes", x, offending, exceptional, {})
 
 
 def scan_lifted_classes(rep) -> ScanReport:
@@ -236,11 +225,6 @@ def scan_lifted_classes(rep) -> ScanReport:
     rep = tuple(rep)
     if rep not in BAD_TUPLE_REPS:
         raise ValueError(f"{rep} is not one of the scan representatives")
-    report = ScanReport(
-        name=f"lifted-classes-({','.join(map(str, rep))})",
-        modulus=9,
-        context={"rep": rep},
-    )
     points = [
         tuple(3 * a + r for a, r in zip(lift, rep))
         for lift in itertools.product(range(3), repeat=4)
@@ -250,14 +234,14 @@ def scan_lifted_classes(rep) -> ScanReport:
         t for t, (count, low) in zip(points, _row_counts(columns, 3))
         if count > 3 or low > 1
     ]
-    return _settle(report, {"lifted-class-count-at-most-3": violations})
+    return _settle(f"lifted-classes-({','.join(map(str, rep))})", 9,
+                   {"lifted-class-count-at-most-3": violations}, [], {"rep": rep})
 
 
 def scan_first_coefficient_vanishing() -> ScanReport:
     """Count, mod 3, how many of the five non-identity first coefficients
     vanish; the count is 0, 1, 2 or 5, and 5 happens only on a known set.
     """
-    report = ScanReport(name="first-coefficient-vanishing", modulus=3)
     count5 = []
     bad_counts = []
     points = [
@@ -271,11 +255,11 @@ def scan_first_coefficient_vanishing() -> ScanReport:
             bad_counts.append(t)
         if zeros == 5:
             count5.append(t)
-    report.exceptional = count5
-    return _settle(report, {
+    offending = {
         "count-in-0-1-2-5": bad_counts,
         "count-5-set-matches": sorted(set(TRIPLE_VANISHING_TUPLES) ^ set(count5)),
-    })
+    }
+    return _settle("first-coefficient-vanishing", 3, offending, count5, {})
 
 
 def scan_quadratic_forms_mod9() -> ScanReport:
@@ -287,7 +271,6 @@ def scan_quadratic_forms_mod9() -> ScanReport:
     R^2S in ``groebner.COEFF_POLYS`` at t = (U, 0, V, 0), where they read
     A, -B, C and D; a form and its negative vanish together.
     """
-    report = ScanReport(name="quadratic-forms", modulus=9)
     a_zero, multiple = [], []
     points = [
         (u, 0, v, 0) for u in range(9) for v in range(9)
@@ -300,7 +283,8 @@ def scan_quadratic_forms_mod9() -> ScanReport:
             a_zero.append((u, v))
         if values.count(0) > 1:
             multiple.append((u, v))
-    return _settle(report, {"A-nonzero": a_zero, "at-most-one-vanishes": multiple})
+    return _settle("quadratic-forms", 9,
+                   {"A-nonzero": a_zero, "at-most-one-vanishes": multiple}, [], {})
 
 
 def run_all_scans() -> list[ScanReport]:

@@ -1,13 +1,21 @@
-"""The contract shared by the package's value types."""
+"""The contract shared by the package's value types and report records."""
 
 
 class Value:
-    """An immutable value whose fields are its class's ``__slots__``, each
-    set in ``__init__`` with ``object.__setattr__``.  Equal to an instance
-    of the same class with equal fields; hashed and pickled as the tuple
-    of its fields."""
+    """An immutable value whose fields are its class's ``__slots__``, built
+    by position only: ``Cls(*fields)``, where a wrong count raises
+    TypeError.  Equal to an instance of the same class with equal fields;
+    hashed and pickled as the tuple of its fields, so a value is hashable
+    only when all its fields are."""
 
     __slots__ = ()
+
+    def __init__(self, *fields):
+        if len(fields) != len(self.__slots__):
+            raise TypeError(f"{self.__class__.__name__} takes "
+                            f"{len(self.__slots__)} fields, got {len(fields)}")
+        for name, value in zip(self.__slots__, fields):
+            object.__setattr__(self, name, value)
 
     def __setattr__(self, name, value):
         raise AttributeError(f"cannot assign to field {name!r}")

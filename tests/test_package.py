@@ -9,8 +9,11 @@ from pathlib import Path
 import pytest
 
 import latcover
-from latcover import BinaryForm, CatalogEntry, RatMat2, Subgroup
-from latcover.catalog import LENGTH3_ENTRY, entry_from_texts
+from latcover import BinaryForm, Catalog, CatalogEntry, RatMat2, Subgroup
+from latcover.catalog import LENGTH3_ENTRY, CheckResult, entry_from_texts
+from latcover.forms import CompareReport, ValueWitness, cross_value_check
+from latcover.groebner import Verdict
+from latcover.modular import ScanReport, run_all_scans, scan_lifted_classes
 from latcover.value import Value
 
 
@@ -71,7 +74,7 @@ def test_cold_import_leaves_out_dataclasses_and_inspect(module):
 def test_value_type_contract(value, fields, other, text):
     cls = type(value)
     # The contract comes from Value alone; the class declares only its
-    # fields, its constructor and its own methods.
+    # fields and its own methods.
     assert issubclass(cls, Value)
     assert not {"__eq__", "__hash__", "__setattr__", "__delattr__", "__reduce__"} & vars(cls).keys()
     same = cls(*fields)
@@ -99,3 +102,46 @@ def test_value_type_contract(value, fields, other, text):
     assert type(again) is cls and again == value and hash(again) == hash(value)
     if text is not None:
         assert repr(value) == text
+
+
+#: One record of each kind, as the package builds them: the report
+#: records share the value types' contract.
+RECORDS = [
+    CheckResult("length3-entry", True, ""),
+    Catalog([entry_from_texts(LENGTH3_ENTRY)]),
+    scan_lifted_classes((0, 1, 0, 1)),
+    Verdict(("R", "S"), True, True, {"norm_form_in_ideal": False}),
+    ValueWitness(-12, (-3, -1)),
+    cross_value_check(BinaryForm.of(0, 1, 1, 0), BinaryForm.of(0, 1, 3, 0), 2, 3),
+]
+
+
+def test_every_value_type_is_listed():
+    records = {type(r) for r in RECORDS}
+    assert records == {CheckResult, Catalog, ScanReport, Verdict, ValueWitness, CompareReport}
+    assert set(Value.__subclasses__()) == records | {Subgroup, RatMat2, BinaryForm, CatalogEntry}
+
+
+@pytest.mark.parametrize("record", RECORDS, ids=lambda r: type(r).__name__)
+def test_record_contract(record):
+    cls = type(record)
+    # Built whole by Value's one constructor: no record defines its own.
+    assert issubclass(cls, Value) and "__init__" not in vars(cls)
+    for name in cls.__slots__:
+        with pytest.raises(AttributeError):
+            setattr(record, name, getattr(record, name))
+    assert record == cls(*(getattr(record, name) for name in cls.__slots__))
+    again = pickle.loads(pickle.dumps(record))
+    assert type(again) is cls and again == record
+
+
+@pytest.mark.parametrize("cls", [Subgroup, RatMat2, BinaryForm, CatalogEntry]
+                         + [type(r) for r in RECORDS], ids=lambda c: c.__name__)
+def test_wrong_number_of_fields_is_a_type_error(cls):
+    for count in (len(cls.__slots__) - 1, len(cls.__slots__) + 1):
+        with pytest.raises(TypeError):
+            cls(*[None] * count)
+
+
+def test_records_compare_by_their_fields():
+    assert run_all_scans() == run_all_scans()
