@@ -2,11 +2,12 @@
 
 
 class Value:
-    """An immutable value whose fields are its class's ``__slots__``, built
-    by position only: ``Cls(*fields)``, where a wrong count raises
-    TypeError.  Equal to an instance of the same class with equal fields;
-    hashed and pickled as the tuple of its fields, so a value is hashable
-    only when all its fields are."""
+    """A value whose fields are its class's ``__slots__``, built by
+    position only: ``Cls(*fields)``, where a wrong count raises TypeError.
+    No field can be reassigned or deleted; a list or dict held in a field
+    stays mutable, as in a tuple.  Equal to an instance of the same class
+    with equal fields; hashed and pickled as the tuple of its fields, so a
+    value is hashable only when all its fields are."""
 
     __slots__ = ()
 

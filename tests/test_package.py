@@ -120,6 +120,8 @@ def test_every_value_type_is_listed():
     records = {type(r) for r in RECORDS}
     assert records == {CheckResult, Catalog, ScanReport, Verdict, ValueWitness, CompareReport}
     assert set(Value.__subclasses__()) == records | {Subgroup, RatMat2, BinaryForm, CatalogEntry}
+    # Value's constructor is the only one: no value type or record has its own.
+    assert not [c for c in Value.__subclasses__() if "__init__" in vars(c)]
 
 
 @pytest.mark.parametrize("record", RECORDS, ids=lambda r: type(r).__name__)
