@@ -71,7 +71,7 @@ def _cmd_enumerate(args) -> int:
         lines.append(f"raw solutions: {len(search.solutions)}")
     payload["minimal_count"] = len(cat.entries)
     payload["counts_by_length"] = {
-        str(k): len(cat.by_length(k)) for k in (3, 4, 5, 6)
+        str(k): len(cat.by_length(k)) for k in catalog_mod.EXPECTED_COUNTS
     }
     lines.append(f"minimal coverings: {len(cat.entries)}")
     if args.out:

@@ -133,8 +133,10 @@ GENERATORS = {
 }
 
 
-def _is_half_odd(x: Fraction) -> bool:
-    return x.denominator == 2
+#: The four admissible integrality shapes of (a b; c d), keyed by the
+#: denominators of (a, b, c, d).  A reduced fraction is a half-odd-integer
+#: exactly when its denominator is 2.
+_SHAPES = {(1, 1, 1, 1): "a", (1, 1, 2, 1): "b", (1, 2, 1, 1): "c", (2, 2, 2, 2): "d"}
 
 
 def corollary_case(sigma: RatMat2) -> str | None:
@@ -145,19 +147,7 @@ def corollary_case(sigma: RatMat2) -> str | None:
     (c) a, d, c integers and b a half-odd-integer; (d) all four
     half-odd-integers.
     """
-    a, b, c, d = sigma.entries()
-    ints = [x.denominator == 1 for x in (a, b, c, d)]
-    halves = [_is_half_odd(x) for x in (a, b, c, d)]
-    if all(ints):
-        return "a"
-    if ints[0] and ints[3]:
-        if ints[1] and halves[2]:
-            return "b"
-        if halves[1] and ints[2]:
-            return "c"
-    if all(halves):
-        return "d"
-    return None
+    return _SHAPES.get(tuple(x.denominator for x in sigma.entries()))
 
 
 def extraordinary_by_C3(f: BinaryForm, t: RatMat2, variant: str = "d3") -> bool:

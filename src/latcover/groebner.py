@@ -5,8 +5,9 @@ For every pair of non-identity group elements the four coefficient
 polynomials of both elements, together with a unimodularity witness,
 generate an ideal; the lemma asserts that 3 lies in that ideal except
 when both elements have order 3.  A second family does the same for the
-first coefficients of element triples.  Membership of 3 is decided by
-reducing the constant against a strong Groebner basis over Z.
+first coefficients of element triples, except for the triple of the
+elements of order 2.  Membership of 3 is decided by reducing the
+constant against a strong Groebner basis over Z.
 """
 
 from __future__ import annotations
@@ -17,7 +18,9 @@ import itertools
 import math
 
 from . import poly
+from .forms import R_MAT, S_MAT
 from .lattices import xgcd
+from .mat2 import RatMat2
 from .poly import GUARD, Poly, leading_term, normal_form
 from .value import Value
 
@@ -32,71 +35,61 @@ def _p(*terms) -> Poly:
     return acc
 
 
-def _m(*factors) -> Poly:
-    acc = poly.constant(1)
-    for f in factors:
-        acc = poly.mul(acc, f)
-    return acc
+def _matmul(x, y) -> tuple[Poly, ...]:
+    """The product of two 2x2 matrices of polynomials, each given by its
+    entries in row order."""
+    return tuple(
+        _p(poly.mul(x[i], y[j]), poly.mul(x[i + 1], y[j + 2])) for i in (0, 2) for j in (0, 1)
+    )
 
 
-ELEMENT_NAMES = ("R", "R2", "S", "RS", "R2S")
+def _conjugate(g: RatMat2) -> tuple[Poly, ...]:
+    """The entries of adj(T) g T for the integral g, T = (t1 t2; t3 t4)."""
+    g_entries = [poly.constant(int(v)) for v in g.entries()]
+    return _matmul(_matmul((T4, poly.neg(T2), poly.neg(T3), T1), g_entries), (T1, T2, T3, T4))
+
+
+#: The five non-identity elements g of D3 = <R, S>, each with the signs
+#: (top, bottom) its two coefficient rows carry against adj(T) g T.
+_ELEMENTS = (
+    ("R", R_MAT, 1, -1),
+    ("R2", R_MAT @ R_MAT, -1, 1),
+    ("S", S_MAT, 1, 1),
+    ("RS", R_MAT @ S_MAT, 1, -1),
+    ("R2S", R_MAT @ R_MAT @ S_MAT, -1, 1),
+)
+
+ELEMENT_NAMES = tuple(name for name, *_ in _ELEMENTS)
 
 #: For each non-identity element g, the four coefficient polynomials
-#: (top1, top2, bot1, bot2) of its pair of defining congruences.  With
-#: T = (t1 t2; t3 t4), (top1, top2) and (bot1, bot2) are, up to sign, the
-#: two rows of adj(T) g T.  This is the one definition of these
-#: polynomials: the residue scans in ``modular`` (the first rows for the
-#: class scans, the bottom-left entries of R, S, RS and R2S at
-#: (u, 0, v, 0) for the mod-9 quadratic forms), the mod-7 oracle and the
-#: ideal-membership certificates all evaluate or reduce these.  The
-#: signs decide the exact reduced bases; do not change them.
+#: (top1, top2, bot1, bot2) of its pair of defining congruences: with
+#: T = (t1 t2; t3 t4), the entries of adj(T) g T, each row times its sign
+#: in ``_ELEMENTS``.  This is the one definition of these polynomials:
+#: the residue scans in ``modular`` (the first rows for the class scans,
+#: the bottom-left entries of R, S, RS and R2S at (u, 0, v, 0) for the
+#: mod-9 quadratic forms), the mod-7 oracle and the ideal-membership
+#: certificates all evaluate or reduce these.  The signs are a
+#: convention: negating any row leaves every reduced basis and every
+#: verdict the same.
 COEFF_POLYS: dict[str, tuple[Poly, Poly, Poly, Poly]] = {
-    "R": (
-        _p(_m(T1, T2), _m(T2, T3), _m(T3, T4)),
-        _p(_m(T2, T2), _m(T2, T4), _m(T4, T4)),
-        _p(_m(T1, T1), _m(T1, T3), _m(T3, T3)),
-        _p(_m(T1, T2), _m(T1, T4), _m(T3, T4)),
-    ),
-    "R2": (
-        _p(_m(T1, T2), _m(T1, T4), _m(T3, T4)),
-        _p(_m(T2, T2), _m(T2, T4), _m(T4, T4)),
-        _p(_m(T1, T1), _m(T1, T3), _m(T3, T3)),
-        _p(_m(T1, T2), _m(T2, T3), _m(T3, T4)),
-    ),
-    "S": (
-        poly.sub(_m(T3, T4), _m(T1, T2)),
-        poly.sub(_m(T4, T4), _m(T2, T2)),
-        poly.sub(_m(T1, T1), _m(T3, T3)),
-        poly.sub(_m(T1, T2), _m(T3, T4)),
-    ),
-    "RS": (
-        _p(_m(T1, T2), _m(T1, T4), _m(T2, T3)),
-        _p(_m(T2, T2), poly.scale(_m(T2, T4), 2)),
-        _p(_m(T1, T1), poly.scale(_m(T1, T3), 2)),
-        _p(_m(T1, T2), _m(T1, T4), _m(T2, T3)),
-    ),
-    "R2S": (
-        _p(_m(T1, T4), _m(T2, T3), _m(T3, T4)),
-        _p(_m(T4, T4), poly.scale(_m(T2, T4), 2)),
-        _p(_m(T3, T3), poly.scale(_m(T1, T3), 2)),
-        _p(_m(T1, T4), _m(T2, T3), _m(T3, T4)),
-    ),
+    name: tuple(
+        poly.scale(entry, sign)
+        for entry, sign in zip(_conjugate(g), (top, top, bottom, bottom))
+    )
+    for name, g, top, bottom in _ELEMENTS
 }
 
 #: u1*t1 + u2*t2 + u3*t3 + u4*t4 - 1, forcing gcd(t1, t2, t3, t4) = 1.
-WITNESS_ALL = _p(
-    _m(U1, T1), _m(U2, T2), _m(U3, T3), _m(U4, T4), poly.constant(-1)
-)
+WITNESS_ALL = _p(*map(poly.mul, (U1, U2, U3, U4), (T1, T2, T3, T4)), poly.constant(-1))
 #: u2*t2 + u4*t4 - 1, forcing gcd(t2, t4) = 1.
-WITNESS_24 = _p(_m(U2, T2), _m(U4, T4), poly.constant(-1))
+WITNESS_24 = _p(poly.mul(U2, T2), poly.mul(U4, T4), poly.constant(-1))
 #: u1*t1 + u3*t3 - 1, forcing gcd(t1, t3) = 1.
-WITNESS_13 = _p(_m(U1, T1), _m(U3, T3), poly.constant(-1))
+WITNESS_13 = _p(poly.mul(U1, T1), poly.mul(U3, T3), poly.constant(-1))
 
-#: Order-3 elements; their pair is the one exception in the pair family.
-ORDER3_ELEMENTS = ("R", "R2")
-
-#: The exceptional triple in the first-coefficient family.
-EXCEPTIONAL_TRIPLE = ("S", "RS", "R2S")
+#: The elements of order 3 and those of order 2: the pair of the first
+#: and the triple of the second are the exceptions of the two families.
+ORDER3_ELEMENTS = tuple(e for e, g, *_ in _ELEMENTS if g @ g @ g == RatMat2.identity())
+EXCEPTIONAL_TRIPLE = tuple(e for e, g, *_ in _ELEMENTS if g @ g == RatMat2.identity())
 
 
 def strong_groebner(gens) -> list[Poly]:

@@ -117,21 +117,11 @@ _BAD_LOW_PAIRS = ((2, 0), (0, 2), (0, 0), (2, 2))
 
 def _badness(pairs) -> int:
     """Count of restricted pairs mod 4 as in the exhaustive check: each
-    of the two unit-scaling classes {(0,1),(0,3)} and {(2,1),(2,3)} at
-    most once, plus every occurrence of a low-order pair.
+    of the two unit-scaling classes {(0,1),(0,3)} and {(2,1),(2,3)} once
+    if any pair lies in it, plus every occurrence of a low-order pair.
     """
-    counter = 0
-    seen_first = seen_second = False
-    for p in pairs:
-        if not seen_first and p in _BAD_HALF_PAIRS[0]:
-            counter += 1
-            seen_first = True
-        if not seen_second and p in _BAD_HALF_PAIRS[1]:
-            counter += 1
-            seen_second = True
-        if p in _BAD_LOW_PAIRS:
-            counter += 1
-    return counter
+    halves = sum(any(p in half for p in pairs) for half in _BAD_HALF_PAIRS)
+    return halves + sum(p in _BAD_LOW_PAIRS for p in pairs)
 
 
 class ScanReport(Value):

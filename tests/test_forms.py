@@ -1,3 +1,4 @@
+import itertools
 import random
 from fractions import Fraction
 
@@ -208,6 +209,38 @@ def test_corollary_case_classification():
     assert corollary_case(parse_mat2("1,0;1/2,1")) == "b"
     assert corollary_case(parse_mat2("1,1/2;0,1")) == "c"
     assert corollary_case(parse_mat2("1/2,1/3;0,1")) is None
+
+
+def _shape_by_cases(a, b, c, d):
+    """The integrality shape of (a b; c d), read off the four cases as
+    ``corollary_case``'s docstring states them."""
+    def integer(x):
+        return x == int(x)
+
+    def half_odd(x):
+        return integer(2 * x) and (2 * x) % 2 == 1
+
+    if all(map(integer, (a, b, c, d))):
+        return "a"
+    if integer(a) and integer(d) and integer(b) and half_odd(c):
+        return "b"
+    if integer(a) and integer(d) and half_odd(b) and integer(c):
+        return "c"
+    if all(map(half_odd, (a, b, c, d))):
+        return "d"
+    return None
+
+
+def test_corollary_case_matches_the_four_cases():
+    # Every matrix whose entries have odd numerators and denominators 1,
+    # 2 or 3: integers, half-odd-integers and thirds, in every position.
+    entries = sorted({Fraction(n, d) for n in (-3, -1, 1, 3) for d in (1, 2, 3)})
+    shapes = set()
+    for abcd in itertools.product(entries, repeat=4):
+        shape = corollary_case(RatMat2(*abcd))
+        assert shape == _shape_by_cases(*abcd), abcd
+        shapes.add(shape)
+    assert shapes == {"a", "b", "c", "d", None}
 
 
 def test_unimodular_conjugation_preserves_case_a():

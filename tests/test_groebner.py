@@ -489,6 +489,14 @@ def test_groebner_univariate_example():
     assert reduces_to_zero(poly.scale(poly.mul(x, x), 2), basis)
 
 
+def test_element_names_and_exceptions():
+    # Derived from the matrices: the exceptions are the elements of order
+    # 3 (pair family) and of order 2 (triple family).
+    assert ELEMENT_NAMES == ("R", "R2", "S", "RS", "R2S")
+    assert ORDER3_ELEMENTS == ("R", "R2")
+    assert EXCEPTIONAL_TRIPLE == ("S", "RS", "R2S")
+
+
 def test_pair_system_shapes():
     for e1, e2 in itertools.combinations(ELEMENT_NAMES, 2):
         gens = pair_system(e1, e2)

@@ -13,6 +13,7 @@ from latcover.modular import (
     BAD_TUPLES_MOD3,
     BAD_TUPLE_REPS,
     TRIPLE_VANISHING_TUPLES,
+    _badness,
     _class_key,
     _counts,
     _pairs_mod,
@@ -181,6 +182,28 @@ def test_failed_badness_clause_lists_every_tuple_it_applies_to(monkeypatch):
     assert [clause for clause, ok in report.clauses.items() if not ok] == ["badness-at-most-1"]
     assert report.violations == applies
     assert seen == [top_pairs(t, 4) for t in applies]
+
+
+def _badness_by_loop(pairs):
+    """The mod-4 badness as a loop over the pairs: each half class counted
+    on its first pair, each low-order pair on every occurrence."""
+    counter = 0
+    seen_first = seen_second = False
+    for p in pairs:
+        if not seen_first and p in ((0, 1), (0, 3)):
+            counter += 1
+            seen_first = True
+        if not seen_second and p in ((2, 1), (2, 3)):
+            counter += 1
+            seen_second = True
+        if p in ((2, 0), (0, 2), (0, 0), (2, 2)):
+            counter += 1
+    return counter
+
+
+@given(st.lists(st.tuples(st.integers(0, 3), st.integers(0, 3)), max_size=6))
+def test_badness_matches_the_loop(pairs):
+    assert _badness(tuple(pairs)) == _badness_by_loop(pairs)
 
 
 def test_scan_rejects_other_moduli():
