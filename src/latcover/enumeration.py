@@ -21,12 +21,11 @@ and runs the exact :func:`~latcover.lattices.is_cover` on each of the
 form's, so this covers every raw tuple.  The tables live as long as the
 caller keeps the :class:`Search`.
 
-The minimality filter decides containment once: :func:`containment`
-tests each ordered pair of the 80 distinct subgroups of the candidates,
-zero included, and gives each subgroup a bit.
-:func:`possible_predecessors` reads it to narrow the exact
-:func:`precedes` tests to the pairs it allows, and :func:`precedes`
-matches slots on its bits.
+The minimality filter and ``verify-catalog`` share
+:func:`comparable_pairs`, which decides containment once:
+:func:`containment` gives each distinct subgroup of the tuples a bit.
+:func:`possible_predecessors` reads it to narrow the exact tests of the
+covering order, :func:`precedes`, which matches slots on its bits.
 """
 
 from __future__ import annotations
@@ -258,37 +257,32 @@ def containment(tuples) -> dict[tuple, tuple[int, int]]:
 
 
 def precedes(a: CoveringTuple, b: CoveringTuple, relation) -> bool:
-    """The permutation partial order: a <= b iff some permutation sigma
-    has every generator of a[i] inside b[sigma(i)].
+    """The slot-permutation order: a <= b iff each nonzero slot of ``a``
+    lies inside a distinct slot of ``b``.
 
-    The permutation only moves the slots up to and including the first
-    rank-0 slot of ``a``; later slots (all rank 0 in a pruned tuple) are
-    matched identically.  The candidate slots of ``b`` for each slot of
-    ``a`` are listed one slot at a time, and the answer is False as soon
-    as one slot of ``a`` has none; a matching search runs over the lists.
+    Zero slots of ``a`` are skipped, since the zero subgroup lies inside
+    every slot, so tuples of any length compare, padded or not; on
+    tuples of one length this is some permutation sigma with every a[i]
+    inside b[sigma(i)].  The candidate slots of ``b`` for each nonzero
+    slot of ``a`` are listed one slot at a time, and the answer is False
+    as soon as one has none; a matching search runs over the lists.
     Containment is read off ``relation``, a :func:`containment` over
     tuples that include ``a`` and ``b``.
     """
-    k = len(a) - 1
-    for i, s in enumerate(a):
-        if not s.gens:
-            k = i
-            break
-    own = [relation[s.gens][0] for s in a]
     inside = [relation[s.gens][1] for s in b]
-    if not all(own[i] & inside[i] for i in range(k + 1, len(a))):
-        return False
     rows = []
-    for i in range(k + 1):
-        row = [j for j in range(k + 1) if own[i] & inside[j]]
-        if not row:
-            return False
-        rows.append(row)
+    for s in a:
+        if s.gens:
+            own = relation[s.gens][0]
+            row = [j for j, r in enumerate(inside) if own & r]
+            if not row:
+                return False
+            rows.append(row)
 
-    used = [False] * (k + 1)
+    used = [False] * len(b)
 
     def assign(i: int) -> bool:
-        if i > k:
+        if i == len(rows):
             return True
         for j in rows[i]:
             if not used[j]:
@@ -309,8 +303,8 @@ def possible_predecessors(tuples, relation) -> list[list[int]]:
     """For each tuple c of ``tuples``, the positions of the tuples o whose
     slots each lie inside some slot of c, c's own included.
 
-    Each slot of o that :func:`precedes` matches is inside a slot of c,
-    so every o with ``precedes(o, c)`` is listed for c; the exact test
+    If ``precedes(o, c)``, each nonzero slot of o is inside a slot of c,
+    and a zero slot inside any, so o is listed for c; the exact test
     decides the rest.  Reads ``relation``, a :func:`containment` over
     ``tuples``, into two ints per tuple: the bits of its slots, and the
     bits of the subgroups inside one of them.  Tuples are told apart by
@@ -326,6 +320,24 @@ def possible_predecessors(tuples, relation) -> list[list[int]]:
         own.append(o)
         reach.append(r)
     return [[i for i, o in enumerate(own) if not o & ~r] for r in reach]
+
+
+def comparable_pairs(tuples) -> list[tuple[int, int]]:
+    """The sorted pairs ``(i, j)``, i != j, with ``tuples[i] <= tuples[j]``
+    under :func:`precedes`.
+
+    One :func:`containment` over ``tuples`` serves
+    :func:`possible_predecessors` and the exact :func:`precedes` test,
+    called through the module global, which runs only on the pairs the
+    former lists.
+    """
+    relation = containment(tuples)
+    return sorted(
+        (i, j)
+        for j, listed in enumerate(possible_predecessors(tuples, relation))
+        for i in listed
+        if i != j and precedes(tuples[i], tuples[j], relation)
+    )
 
 
 def _subtree(
@@ -412,18 +424,12 @@ def enumerate_minimal_coverings(search: Search | None = None) -> list[CoveringTu
     Runs :func:`raw_solutions` once, on ``search`` or on new tables,
     and takes as candidates the distinct pruned forms it certified, in
     which raw solutions differing only in slot order meet.  Only these
-    become subgroup tuples again; it sorts them, then keeps only those
-    not preceded by another candidate.  One :func:`containment` over the
-    candidates serves :func:`possible_predecessors` and the exact
-    :func:`precedes` test, which runs only on the pairs the former
-    lists.  The outcome does not depend on the traversal order.
+    become subgroup tuples again; it sorts them, then keeps those that
+    no other candidate precedes, as :func:`comparable_pairs` lists them.
+    The outcome does not depend on the traversal order.
     """
     search = search or Search()
     raw_solutions(search=search)
     candidates = sorted(map(search.tuple_of, search.pruned), key=_canonical_sort_key)
-    relation = containment(candidates)
-    listed = possible_predecessors(candidates, relation)
-    return [
-        c for i, c in enumerate(candidates)
-        if not any(j != i and precedes(candidates[j], c, relation) for j in listed[i])
-    ]
+    preceded = {j for _, j in comparable_pairs(candidates)}
+    return [c for j, c in enumerate(candidates) if j not in preceded]

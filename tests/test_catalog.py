@@ -6,7 +6,6 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from latcover import catalog as catalog_module
 from latcover import enumeration
 from latcover.catalog import (
     COVER_4_6,
@@ -132,11 +131,35 @@ def test_incomparability_detail_lists_ten_pairs(catalog):
     )
 
 
+def test_incomparability_catches_a_superset_entry():
+    # F is E, the length-4 entry of the four index-3 subgroups, plus two
+    # index-2 subgroups.  Each slot of E lies in a distinct slot of F,
+    # though F sorts its index-2 slots first.
+    e = entry_from_texts(LENGTH4_ENTRIES[3])
+    f = entry_from_texts(LENGTH4_ENTRIES[3] + ("2,0;0,1", "1,0;0,2"))
+    (r,) = [r for r in verify_catalog(Catalog([e, f])) if r.name == "entries-incomparable"]
+    assert (r.ok, r.detail) == (False, "comparable pairs [(0, 1)], 1 in all")
+
+
+def test_large_prime_check_catches_any_prime_above_3():
+    # Three index-2 subgroups cover Z^2; the three index-37 slots ride
+    # along, and 37 is past any short list of primes.
+    index37 = entry_from_texts(
+        ("2,0;0,1", "1,0;0,2", "1,0;1,2", "37,0;0,1", "1,0;0,37", "1,0;1,37")
+    )
+    (r,) = [
+        r for r in verify_catalog(Catalog([entry_from_texts(COVER_5_6), index37]))
+        if r.name == "length6-unique-large-prime-entry"
+    ]
+    assert not r.ok
+    assert index37.text() in r.detail
+
+
 def test_precedes_runs_only_on_prefiltered_pairs(monkeypatch, catalog):
-    # Counted through the module globals that generate_catalog and
-    # verify_catalog call: the containment bitset leaves 197 exact tests
-    # of the 8,015 the minimality filter made over all pairs, and 150 of
-    # the 2,862 pairs of distinct catalog entries.
+    # Counted through the module global that comparable_pairs calls: the
+    # containment bitset leaves 307 exact tests of the 10,100 ordered
+    # pairs of the minimality filter's candidates, and 150 of the 2,862
+    # pairs of distinct catalog entries.
     calls = Counter()
     inner = enumeration.precedes
 
@@ -145,9 +168,8 @@ def test_precedes_runs_only_on_prefiltered_pairs(monkeypatch, catalog):
         return inner(a, b, relation)
 
     monkeypatch.setattr(enumeration, "precedes", counted)
-    monkeypatch.setattr(catalog_module, "precedes", counted)
     assert generate_catalog().entries == catalog.entries
-    assert calls["precedes"] == 197
+    assert calls["precedes"] == 307
     calls.clear()
     verify_catalog(catalog)
     assert calls["precedes"] == 150
