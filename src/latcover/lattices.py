@@ -17,6 +17,7 @@ integer multiple of a dual (see :func:`_dual`).
 from __future__ import annotations
 
 import math
+import operator
 from fractions import Fraction
 from functools import reduce
 
@@ -68,39 +69,14 @@ def canonicalize(gens) -> Subgroup:
     """Canonical basis of the subgroup generated by ``gens``.
 
     Accepts any finite iterable of integer pairs, possibly empty or
-    linearly dependent.  Idempotent: re-canonicalizing a canonical basis
-    returns an equal subgroup.
+    linearly dependent; a coordinate that is not an integer raises
+    TypeError.  Idempotent: re-canonicalizing a canonical basis returns
+    an equal subgroup.  The basis is built by :func:`adjoin`, one
+    generator at a time.
     """
-    vecs = [(int(x), int(y)) for x, y in gens if (x, y) != (0, 0)]
-    if not vecs:
-        return ZERO
-
-    u0 = vecs[0]
-    rank2 = any(u0[0] * v[1] - u0[1] * v[0] != 0 for v in vecs)
-    if not rank2:
-        # All generators lie on one line through the origin.
-        ux, uy = vecs[0]
-        d = math.gcd(ux, uy)
-        px, py = ux // d, uy // d
-        if px < 0 or (px == 0 and py < 0):
-            px, py = -px, -py
-        ks = [(x // px) if px else (y // py) for x, y in vecs]
-        k = abs(reduce(math.gcd, ks))
-        return Subgroup(((k * px, k * py),))
-
-    # Rank 2: find w = (wx, b) with b = gcd of the y-components, then
-    # clear the y-components and take the gcd of what is left on the axis.
-    wx, wy = vecs[0]
-    for vx, vy in vecs[1:]:
-        g, s, t = xgcd(wy, vy)
-        wx, wy = s * wx + t * vx, g
-    b = wy
-    xs = []
-    for vx, vy in vecs:
-        xs.append(vx - (vy // b) * wx)
-    a = abs(reduce(math.gcd, xs))
-    c = wx % a
-    return Subgroup(((a, 0), (c, b)))
+    return reduce(
+        adjoin, ((operator.index(x), operator.index(y)) for x, y in gens), ZERO
+    )
 
 
 def index(s: Subgroup):
@@ -153,22 +129,41 @@ def _dual(m: Subgroup, n: int) -> Subgroup:
 def adjoin(s: Subgroup, v: Vec2) -> Subgroup:
     """Canonical form of the subgroup generated by ``s`` and the point ``v``.
 
-    A rank-2 ``s`` with basis (a, 0), (c, b) takes one Hermite normal
-    form step for v = (x, y).  With g = gcd(b, y) = p b + q y, the
-    unimodular change from (c, b), v to p (c, b) + q v = (p c + q x, g)
-    and (y / g) (c, b) - (b / g) v = ((y / g) c - (b / g) x, 0) gives the
-    basis (a', 0), ((p c + q x) mod a', g), with a' the gcd of a and
-    (y / g) c - (b / g) x.  Lower ranks go through :func:`canonicalize`,
-    which the tests compare this step with.
+    The Hermite normal form built one generator at a time, and the one
+    routine that computes a canonical basis.  For v = (x, y):
+
+    * rank 0: the line through v, sign-normalized; the origin leaves
+      ``s`` as it is.
+    * rank 1, basis (u, w), v on the line: v is an integer multiple of
+      the primitive direction (u, w) / gcd(u, w), so the result is
+      gcd(u, w, x, y) times that direction.
+    * rank 1, v off the line: the index is |u y - w x| and the least
+      height is g = gcd(w, y) = p w + q y, reached at p (u, w) + q v,
+      so the basis is (a, 0), ((p u + q x) mod a, g), a = |u y - w x| / g.
+    * rank 2, basis (a, 0), (c, b): with g = gcd(b, y) = p b + q y, the
+      unimodular change from (c, b), v to p (c, b) + q v = (p c + q x, g)
+      and (y / g) (c, b) - (b / g) v = ((y / g) c - (b / g) x, 0) gives
+      the basis (a', 0), ((p c + q x) mod a', g), with a' the gcd of a
+      and (y / g) c - (b / g) x.
     """
-    if len(s.gens) != 2:
-        return canonicalize(s.gens + (tuple(v),))
-    # One step, not canonicalize: 1,001 of the search's 1,348 enlargements are rank 2.
-    (a, _), (c, b) = s.gens
     x, y = v
-    g, p, q = xgcd(b, y)
-    a = math.gcd(a, y // g * c - b // g * x)
-    return Subgroup(((a, 0), ((p * c + q * x) % a, g)))
+    if len(s.gens) == 2:
+        (a, _), (c, b) = s.gens
+        g, p, q = xgcd(b, y)
+        a = math.gcd(a, y // g * c - b // g * x)
+        return Subgroup(((a, 0), ((p * c + q * x) % a, g)))
+    if not s.gens:
+        if x < 0 or (x == 0 and y < 0):
+            x, y = -x, -y
+        return Subgroup(((x, y),)) if x or y else s
+    (u, w), = s.gens
+    det = u * y - w * x
+    if det:
+        g, p, q = xgcd(w, y)
+        a = abs(det) // g
+        return Subgroup(((a, 0), ((p * u + q * x) % a, g)))
+    d, k = math.gcd(u, w), math.gcd(u, w, x, y)
+    return Subgroup(((u // d * k, w // d * k),))
 
 
 #: Largest intersection index :func:`is_cover` accepts.  The search makes

@@ -56,6 +56,17 @@ def test_rank1_canonical_direction():
     assert canonicalize([(-2, 4)]).gens == ((2, -4),)
     assert canonicalize([(0, -3)]).gens == ((0, 3),)
     assert canonicalize([(2, 4), (3, 6)]).gens == ((1, 2),)
+    assert canonicalize([(2, 4), (4, 8)]).gens == ((2, 4),)
+    assert canonicalize([(0, -3), (0, 6)]).gens == ((0, 3),)
+    line = canonicalize([(-2, 4)])
+    assert adjoin(line, (0, 0)) == line
+
+
+def test_canonicalize_rejects_non_integers():
+    with pytest.raises(TypeError):
+        canonicalize([(Fraction(1, 2), 1), (3, 0)])
+    with pytest.raises(TypeError):
+        canonicalize([(2.7, 0)])
 
 
 @given(gens_lists)
@@ -76,12 +87,11 @@ def test_generators_inside_original_span(gens):
     # Canonical generators are integer combinations of the inputs:
     # membership in the brute-force span over a small box agrees.
     s = canonicalize(gens)
-    if s.rank != 2:
-        return
     span = set()
     frontier = {(0, 0)}
     # Closure of the input set under addition within a box large enough
-    # to contain the canonical basis (index <= 2 * 4 * 4).
+    # to contain the canonical basis: index <= 2 * 4 * 4 at rank 2, and a
+    # rank-1 generator no longer than the inputs.
     box = 40
     for _ in range(200):
         new = set()
@@ -228,8 +238,34 @@ def test_adjoin_contains_both(gens, v):
     assert is_subgroup_of(s, t)
 
 
-def test_adjoin_matches_canonicalize_on_seeded_subgroups():
-    # canonicalize is the reference for adjoin's one-step rank-2 update.
+def assert_generated_by(t, gens):
+    """Check from the definition that ``t`` is the canonical basis of the
+    subgroup the points ``gens`` generate, without canonicalize or adjoin.
+
+    With rank 2, t contains the generators and its index is the gcd of
+    their 2x2 minors, the index of their span, so t is that span.  With
+    rank 1, t is the gcd of the generators' multiples of the primitive
+    direction times that direction.
+    """
+    gens = [g for g in gens if g != (0, 0)]
+    assert all(contains(t, g) for g in gens)
+    pairs = itertools.combinations(gens, 2)
+    det = reduce(math.gcd, (x1 * y2 - y1 * x2 for (x1, y1), (x2, y2) in pairs), 0)
+    if det:
+        (a, z), (c, b) = t.gens
+        assert z == 0 and a >= 1 and b >= 1 and 0 <= c < a
+        assert a * b == det
+    elif gens:
+        u, w = gens[0]
+        d = math.gcd(u, w) if u > 0 or (u == 0 and w > 0) else -math.gcd(u, w)
+        pu, pw = u // d, w // d
+        k = reduce(math.gcd, (x // pu if pu else y // pw for x, y in gens), 0)
+        assert t.gens == ((k * pu, k * pw),)
+    else:
+        assert t == ZERO
+
+
+def test_adjoin_matches_definition_on_seeded_subgroups():
     # Points with y = 0, negative coordinates and the origin included;
     # then every step the forcing search takes.
     rng = random.Random(26)
@@ -239,10 +275,12 @@ def test_adjoin_matches_canonicalize_on_seeded_subgroups():
         return (rng.randint(-r, r), rng.choice([0, rng.randint(-r, r)]))
 
     for _ in range(4000):
-        s = canonicalize(point(12) for _ in range(rng.choice([0, 1, 2, 2])))
+        points = [point(12) for _ in range(rng.choice([0, 1, 2, 2]))]
+        s = canonicalize(points)
+        assert_generated_by(s, points)
         v = point(30)
         ranks[s.rank] += 1
-        assert adjoin(s, v) == canonicalize(s.gens + (v,)), (s, v)
+        assert_generated_by(adjoin(s, v), points + [v])
     assert min(ranks[r] for r in (0, 1, 2)) > 100
     search = enumeration.Search()
     enumeration.raw_solutions(search=search)
@@ -250,7 +288,7 @@ def test_adjoin_matches_canonicalize_on_seeded_subgroups():
     assert len(search.steps) == 1348
     for key in search.steps:
         s, v = search.subgroups[key // row], enumeration.FORCING_POINTS[key % row]
-        assert adjoin(s, v) == canonicalize(s.gens + (v,))
+        assert_generated_by(adjoin(s, v), s.gens + (v,))
 
 
 def _random_lattice(rng, max_index=6):
