@@ -13,7 +13,7 @@ from .enumeration import (
     comparable_pairs,
     enumerate_minimal_coverings,
 )
-from .lattices import Subgroup, ZERO, canonicalize, density_sum, index, is_cover, xgcd
+from .lattices import Subgroup, canonicalize, density_sum, index, is_cover, xgcd
 from .mat2 import MAX_NUMBER_LENGTH
 from .value import Value
 
@@ -55,14 +55,9 @@ def column_form(s: Subgroup) -> tuple[int, int, int, int]:
 
 
 def subgroup_text(s: Subgroup) -> str:
-    """Display form: ``a,0;c,b`` for rank 2, ``u,v`` for rank 1, ``0``."""
-    if s.rank == 2:
-        a, _, c, b = column_form(s)
-        return f"{a},0;{c},{b}"
-    if s.rank == 1:
-        (u, v), = s.gens
-        return f"{u},{v}"
-    return "0"
+    """Display form ``a,0;c,b`` of a rank-2 subgroup, as in :func:`column_form`."""
+    a, _, c, b = column_form(s)
+    return f"{a},0;{c},{b}"
 
 
 _INTEGER = re.compile(r"[+-]?[0-9]+")
@@ -85,21 +80,14 @@ def _parse_integer(text: str) -> int:
 
 
 def parse_subgroup(text: str) -> Subgroup:
-    """Inverse of :func:`subgroup_text`."""
+    """Inverse of :func:`subgroup_text`: raises ValueError for any text
+    but ``a,0;c,b`` whose columns generate a rank-2 subgroup."""
     text = text.strip()
-    if text == "0":
-        return ZERO
-    rows = text.split(";")
     try:
-        if len(rows) == 1:
-            u, v = (_parse_integer(p) for p in rows[0].split(","))
-            return canonicalize([(u, v)])
-        if len(rows) == 2:
-            a, z = (_parse_integer(p) for p in rows[0].split(","))
-            c, b = (_parse_integer(p) for p in rows[1].split(","))
-            if z != 0:
-                raise ValueError
-            return canonicalize([(a, c), (0, b)])
+        (a, z), (c, b) = (map(_parse_integer, row.split(",")) for row in text.split(";"))
+        s = canonicalize([(a, c), (0, b)])
+        if z == 0 and s.rank == 2:
+            return s
     except ValueError:
         pass
     raise ValueError(f"malformed subgroup text {text!r}")

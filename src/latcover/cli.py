@@ -42,9 +42,7 @@ def _emit_checks(args, command: str, results: list[catalog_mod.CheckResult],
     failed = [r.name for r in results if not r.ok]
     payload = {
         "command": command,
-        "checks": [
-            {"name": r.name, "ok": r.ok, "detail": r.detail} for r in results
-        ],
+        "checks": [r.to_dict() for r in results],
         "ok": not failed,
     }
     lines = [
@@ -119,7 +117,8 @@ def _cmd_verify_groebner(args) -> int:
     lines = [
         f"{'PASS' if v.ok else 'FAIL'} {{{', '.join(v.elements)}}}: "
         f"3 in ideal = {v.contains_3}"
-        + (f" extra={v.extra}" if v.extra else "")
+        + ("" if v.norm_form_in_ideal is None
+           else f" extra={{'norm_form_in_ideal': {v.norm_form_in_ideal}}}")
         for v in verdicts
     ]
     _emit(args, payload, lines)

@@ -260,7 +260,8 @@ class CompareReport(Value):
     ``unmatched_f`` holds values of the first form on the small box with
     no preimage of the second form on the big box; ``unmatched_g`` the
     converse.  Empty lists are necessary, never sufficient, for value-set
-    equality.
+    equality.  Its JSON is :meth:`~latcover.value.Value.to_dict`, ``ok``
+    included, with each witness as its value and point.
     """
 
     __slots__ = ("n", "m", "unmatched_f", "unmatched_g")
@@ -268,21 +269,6 @@ class CompareReport(Value):
     @property
     def ok(self) -> bool:
         return not self.unmatched_f and not self.unmatched_g
-
-    def to_dict(self) -> dict:
-        return {
-            "n": self.n,
-            "m": self.m,
-            "ok": self.ok,
-            "unmatched_f": [
-                {"value": w.value, "point": list(w.point)}
-                for w in self.unmatched_f
-            ],
-            "unmatched_g": [
-                {"value": w.value, "point": list(w.point)}
-                for w in self.unmatched_g
-            ],
-        }
 
 
 #: Largest box radius of ``cross_value_check`` (the paper's boxes: 60).

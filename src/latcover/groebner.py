@@ -251,22 +251,17 @@ def triple_system(e1: str, e2: str, e3: str) -> list[Poly]:
 
 
 class Verdict(Value):
-    """Outcome of one ideal-membership certificate."""
+    """Outcome of one ideal-membership certificate: whether 3 lies in the
+    ideal of ``elements``, against the ``expected`` answer.  For the
+    exceptional triple, ``norm_form_in_ideal`` says whether
+    t1^2 + t1*t3 + t3^2 lies in it; for every other combination it is
+    None, which :meth:`~latcover.value.Value.to_dict` leaves out."""
 
-    __slots__ = ("elements", "contains_3", "expected", "extra")
+    __slots__ = ("elements", "contains_3", "expected", "norm_form_in_ideal")
 
     @property
     def ok(self) -> bool:
         return self.contains_3 == self.expected
-
-    def to_dict(self) -> dict:
-        return {
-            "elements": list(self.elements),
-            "contains_3": self.contains_3,
-            "expected": self.expected,
-            "ok": self.ok,
-            **(self.extra or {}),
-        }
 
 
 def certificate_bases() -> dict[tuple[str, ...], list[Poly]]:
@@ -291,12 +286,12 @@ def verify_all(bases) -> list[Verdict]:
     verdicts = []
     for combo, basis in bases.items():
         leads = _packed_leads(basis)  # packed once for both tests
-        extra = None
+        norm_form = None
         if set(combo) == set(EXCEPTIONAL_TRIPLE):
-            extra = {"norm_form_in_ideal": _in_ideal(COEFF_POLYS["R"][2], leads)}
+            norm_form = _in_ideal(COEFF_POLYS["R"][2], leads)
         expected = set(combo) not in (set(ORDER3_ELEMENTS), set(EXCEPTIONAL_TRIPLE))
         verdicts.append(
-            Verdict(combo, _in_ideal(poly.constant(3), leads), expected, extra)
+            Verdict(combo, _in_ideal(poly.constant(3), leads), expected, norm_form)
         )
     return verdicts
 

@@ -23,7 +23,7 @@ def parse_rational(text: str) -> Fraction:
     Raises ValueError for anything else and for text longer than
     :data:`MAX_NUMBER_LENGTH`.  Exponent notation is refused because
     ``Fraction`` reads ``1e999999999`` as a 10^9-digit integer; a zero
-    denominator raises ZeroDivisionError.
+    denominator raises ZeroDivisionError naming the text.
     """
     text = text.strip()
     if len(text) > MAX_NUMBER_LENGTH:
@@ -32,7 +32,10 @@ def parse_rational(text: str) -> Fraction:
         )
     if not _RATIONAL.fullmatch(text):
         raise ValueError(f"expected p, p/q or a decimal without exponent, got {text!r}")
-    return Fraction(text)
+    try:
+        return Fraction(text)
+    except ZeroDivisionError:
+        raise ZeroDivisionError(f"zero denominator in {text!r}") from None
 
 
 class RatMat2(Value):

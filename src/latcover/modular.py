@@ -125,24 +125,15 @@ def _badness(pairs) -> int:
 
 
 class ScanReport(Value):
-    """Outcome of one exhaustive residue scan, as :func:`_settle` builds it."""
+    """Outcome of one exhaustive residue scan, as :func:`_settle` builds it:
+    each clause with whether it holds, and ``ok`` when all do.  Its JSON
+    is :meth:`~latcover.value.Value.to_dict`, ``ok`` included."""
 
     __slots__ = ("name", "modulus", "clauses", "exceptional", "violations", "context")
 
     @property
     def ok(self) -> bool:
         return all(self.clauses.values())
-
-    def to_dict(self) -> dict:
-        return {
-            "name": self.name,
-            "modulus": self.modulus,
-            "ok": self.ok,
-            "clauses": self.clauses,
-            "context": {k: list(v) for k, v in self.context.items()},
-            "exceptional": [list(t) for t in self.exceptional],
-            "violations": [list(v) for v in self.violations],
-        }
 
 
 def _settle(name: str, modulus: int, offending: dict, exceptional: list,

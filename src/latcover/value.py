@@ -48,3 +48,23 @@ class Value:
         for name in self.__slots__:
             fields.append(getattr(self, name))
         return tuple(fields)
+
+    def to_dict(self) -> dict:
+        """The fields by name as plain JSON data: tuples become lists and
+        nested values their dicts.  A field that is None is left out, and
+        ``ok`` is added where the class defines it."""
+        d = {name: _plain(value) for name, value in zip(self.__slots__, self._fields())
+             if value is not None}
+        if hasattr(self, "ok"):
+            d["ok"] = self.ok
+        return d
+
+
+def _plain(x):
+    if isinstance(x, Value):
+        return x.to_dict()
+    if isinstance(x, (tuple, list)):
+        return [_plain(e) for e in x]
+    if isinstance(x, dict):
+        return {k: _plain(v) for k, v in x.items()}
+    return x

@@ -108,7 +108,7 @@ def test_criterion_6_groebner_verdicts(pair_verdicts, triple_verdicts):
         assert v.ok
         if not v.contains_3:
             assert set(v.elements) == {"S", "RS", "R2S"}
-            assert v.extra == {"norm_form_in_ideal": True}
+            assert v.norm_form_in_ideal is True
     _report("Groebner certificates: 9+9 contain 3, known exceptions")
 
 

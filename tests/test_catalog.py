@@ -30,7 +30,7 @@ from latcover.lattices import ZERO, Subgroup, canonicalize, contains, index, is_
 
 
 def test_subgroup_text_roundtrip():
-    for text in ("1,0;1,2", "2,0;0,1", "5,0;3,5", "1,2", "0"):
+    for text in ("1,0;1,2", "2,0;0,1", "5,0;3,5"):
         assert subgroup_text(parse_subgroup(text)) == text
 
 
@@ -55,7 +55,7 @@ def test_column_form_matches_membership():
 
 
 def test_parse_subgroup_rejects_malformed():
-    for bad in ("", "1;2;3", "a,b", "1,1;0,2"):
+    for bad in ("", "1;2;3", "a,b", "1,1;0,2", "0", "1,2", "0,0;0,0", "2,0;1,0"):
         with pytest.raises(ValueError):
             parse_subgroup(bad)
 
@@ -180,6 +180,18 @@ def test_parse_reports_line_number():
         parse("len=3 | 1,0;0,2 | 1,0;1,2 | 2,0;0,1\nlen=3 | nonsense\n")
     with pytest.raises(ValueError, match="line 1"):
         parse("len=4 | 1,0;0,2 | 1,0;1,2 | 2,0;0,1\n")
+
+
+def test_parse_rejects_slots_below_rank_2():
+    # Catalog text holds rank-2 subgroups only: a "0" slot is not dropped
+    # from the count, and a rank-1 "u,v" slot is not read at all.
+    for line in (
+        "len=3 | 2,0;0,1 | 1,0;0,2 | 0 | 1,0;1,2 | 0 | 0",
+        "len=3 | 2,0;0,1 | 1,0;0,2 | 0,0;0,0 | 1,0;1,2",
+        "len=4 | 2,0;0,1 | 1,0;0,2 | 1,2 | 1,0;1,2",
+    ):
+        with pytest.raises(ValueError, match="line 1: malformed catalog line"):
+            parse(line)
 
 
 def test_parse_length_header_is_ascii_integer():

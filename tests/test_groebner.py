@@ -539,7 +539,7 @@ def test_triple_verdicts(triple_verdicts):
         assert v.contains_3 == expected
         if not expected:
             # The quadratic norm form certifies the exceptional triple.
-            assert v.extra == {"norm_form_in_ideal": True}
+            assert v.norm_form_in_ideal is True
 
 
 def test_finite_field_oracle_agrees(pair_verdicts, triple_verdicts):

@@ -1,4 +1,5 @@
 import ast
+import json
 import os
 import pickle
 import subprocess
@@ -110,7 +111,7 @@ RECORDS = [
     CheckResult("length3-entry", True, ""),
     Catalog([entry_from_texts(LENGTH3_ENTRY)]),
     scan_lifted_classes((0, 1, 0, 1)),
-    Verdict(("R", "S"), True, True, {"norm_form_in_ideal": False}),
+    Verdict(("R", "S"), True, True, None),
     ValueWitness(-12, (-3, -1)),
     cross_value_check(BinaryForm.of(0, 1, 1, 0), BinaryForm.of(0, 1, 3, 0), 2, 3),
 ]
@@ -120,8 +121,31 @@ def test_every_value_type_is_listed():
     records = {type(r) for r in RECORDS}
     assert records == {CheckResult, Catalog, ScanReport, Verdict, ValueWitness, CompareReport}
     assert set(Value.__subclasses__()) == records | {Subgroup, RatMat2, BinaryForm, CatalogEntry}
-    # Value's constructor is the only one: no value type or record has its own.
+    # Value's constructor and JSON encoder are the only ones: no value
+    # type or record has its own.
     assert not [c for c in Value.__subclasses__() if "__init__" in vars(c)]
+    assert not [c for c in Value.__subclasses__() if "to_dict" in vars(c)]
+
+
+def _leaves(data):
+    if isinstance(data, dict):
+        data = list(data.values())
+    if isinstance(data, list):
+        for item in data:
+            yield from _leaves(item)
+    else:
+        yield data
+
+
+@pytest.mark.parametrize("record", RECORDS, ids=lambda r: type(r).__name__)
+def test_record_to_dict_is_plain_json(record):
+    d = record.to_dict()
+    # Plain data: the JSON round trip gives it back equal, as it would
+    # not with a tuple left in, and a None field is left out, not null.
+    assert json.loads(json.dumps(d)) == d
+    assert None not in _leaves(d)
+    fields = {name for name in type(record).__slots__ if getattr(record, name) is not None}
+    assert d.keys() == fields | ({"ok"} if hasattr(record, "ok") else set())
 
 
 @pytest.mark.parametrize("record", RECORDS, ids=lambda r: type(r).__name__)
