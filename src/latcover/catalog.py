@@ -6,24 +6,19 @@ from __future__ import annotations
 
 import re
 
-from .enumeration import (
-    SLOTS,
-    CoveringTuple,
-    Search,
-    comparable_pairs,
-    enumerate_minimal_coverings,
-)
-from .lattices import Subgroup, canonicalize, density_sum, index, is_cover, xgcd
+from .enumeration import SLOTS, CoveringTuple, Search, enumerate_minimal_coverings
+from .lattices import Subgroup, canonicalize, density_sum, index, is_cover, is_minimal_cover, xgcd
 from .mat2 import MAX_NUMBER_LENGTH
 from .value import Value
 
 #: Expected number of minimal coverings per length; they sum to 54.
 EXPECTED_COUNTS = {3: 1, 4: 4, 5: 9, 6: 40}
 
-#: Most entries :func:`parse` accepts.  The incomparability check of
-#: :func:`verify_catalog` looks at all ordered pairs of entries and of
-#: their distinct subgroups, so its cost grows with the square of the
-#: count; the real catalog has 54.
+#: Most entries :func:`parse` accepts.  Parsing and :func:`verify_catalog`
+#: run a covering test and a minimality test on each entry, each of which
+#: may scan a period box of up to
+#: :data:`~latcover.lattices.MAX_COVER_INDEX` points, so their cost grows
+#: with the count; the real catalog has 54.
 MAX_CATALOG_ENTRIES = 1000
 
 #: Longest catalog text :func:`parse` accepts, in characters, so that
@@ -32,8 +27,8 @@ MAX_CATALOG_ENTRIES = 1000
 #: for each of :data:`MAX_CATALOG_ENTRIES` lines.
 MAX_CATALOG_CHARS = 10**6
 
-#: Most comparable pairs the incomparability check lists in its detail.
-_SHOWN_PAIRS = 10
+#: Most positions the minimality check lists in its detail, per kind.
+_SHOWN_POSITIONS = 10
 
 
 def column_form(s: Subgroup) -> tuple[int, int, int, int]:
@@ -120,9 +115,8 @@ def canonical_entry(t: CoveringTuple) -> CatalogEntry:
     """Drop rank-0 slots and sort the lattices into the canonical order.
 
     More than ``SLOTS`` lattices are rejected: the catalog lists
-    coverings by at most that many subgroups, and the matching search of
-    the incomparability check in :func:`verify_catalog` backtracks over
-    an entry's slots, so its cost grows fast with the entry length.
+    coverings by at most that many subgroups, so a longer entry is a data
+    error before any check runs on it.
     """
     lattices = [s for s in t if s.rank != 0]
     if len(lattices) > SLOTS:
@@ -218,11 +212,11 @@ class CheckResult(Value):
 def verify_catalog(catalog: Catalog) -> list[CheckResult]:
     """Run every per-length structural check against the catalog.
 
-    The incomparability check is
-    :func:`~latcover.enumeration.comparable_pairs` over the entries'
-    lattices, unpadded: it decides containment once, and runs the exact
-    :func:`~latcover.enumeration.precedes` test on 150 of the 2,862
-    ordered pairs of the real catalog.
+    ``entries-minimal`` runs :func:`~latcover.lattices.is_minimal_cover`
+    once on each entry, and lists the entries that fail it and those
+    that repeat an earlier entry.  Together these rule out two entries
+    comparable in the covering order: a minimal covering precedes
+    another minimal covering only when the two are equal.
     """
     results: list[CheckResult] = []
 
@@ -284,12 +278,21 @@ def verify_catalog(catalog: Catalog) -> list[CheckResult]:
         all(1 < density_sum(e.lattices) <= 6 for e in catalog.entries),
     )
 
-    comparable = comparable_pairs([e.lattices for e in catalog.entries])
+    nonminimal = [
+        i for i, e in enumerate(catalog.entries) if not is_minimal_cover(e.lattices)
+    ]
+    first = {}
+    repeated = [i for i, e in enumerate(catalog.entries) if first.setdefault(e, i) != i]
+
+    def positions(label: str, found: list[int]) -> str:
+        return f"{label} {found[:_SHOWN_POSITIONS]}" + (
+            f", {len(found)} in all" if found else ""
+        )
+
     check(
-        "entries-incomparable",
-        not comparable,
-        f"comparable pairs {comparable[:_SHOWN_PAIRS]}"
-        + (f", {len(comparable)} in all" if comparable else ""),
+        "entries-minimal",
+        not nonminimal and not repeated,
+        positions("non-minimal", nonminimal) + "; " + positions("repeated", repeated),
     )
 
     return results

@@ -4,8 +4,8 @@ The search grows a 6-slot tuple of subgroups one forced point at a time:
 whenever the current union misses a point of the forcing list, that point
 is adjoined to one of the slots (only up to the first empty slot, which
 breaks slot-permutation symmetry) and the search recurses.  Recorded
-tuples are then pruned, and a partial-order filter reduces them to the
-minimal coverings.
+tuples are then pruned, and a minimality rule applied to each pruned
+form on its own reduces them to the minimal coverings.
 
 Each search works on its own :class:`Search` tables, in which the 185
 subgroups it reaches are interned as small ints, so slot tuples and steps
@@ -21,11 +21,11 @@ and runs the exact :func:`~latcover.lattices.is_cover` on each of the
 form's, so this covers every raw tuple.  The tables live as long as the
 caller keeps the :class:`Search`.
 
-The minimality filter and ``verify-catalog`` share
-:func:`comparable_pairs`, which decides containment once:
-:func:`containment` gives each distinct subgroup of the tuples a bit.
-:func:`possible_predecessors` reads it to narrow the exact tests of the
-covering order, :func:`precedes`, which matches slots on its bits.
+The minimality filter and ``verify-catalog`` share one rule,
+:func:`~latcover.lattices.is_minimal_cover`: a covering is minimal iff
+each slot is generated by the points that it alone covers.  It compares
+no two tuples.  The covering order itself, :func:`precedes`, is kept as
+the reference that the tests check the rule against.
 """
 
 from __future__ import annotations
@@ -38,6 +38,7 @@ from .lattices import (
     contains,
     index,
     is_cover,
+    is_minimal_cover,
     is_subgroup_of,
 )
 
@@ -231,32 +232,7 @@ def _slot_ranks(subgroups: list[Subgroup]) -> list[int]:
     return ranks
 
 
-def containment(tuples) -> dict[tuple, tuple[int, int]]:
-    """The containment relation on the distinct subgroups of ``tuples``,
-    the zero subgroup included.
-
-    Maps the basis of each to ``(bit, inside)``: a bit of its own, and
-    the OR of the bits of the subgroups inside it, its own included.
-    Makes one :func:`~latcover.lattices.is_subgroup_of` per ordered pair,
-    through the module global, so that :func:`possible_predecessors` and
-    :func:`precedes` decide each containment once between them.
-    """
-    distinct: dict[tuple, Subgroup] = {}
-    for t in tuples:
-        for s in t:
-            distinct.setdefault(s.gens, s)
-    subgroups = list(distinct.values())
-    relation = {}
-    for k, s in enumerate(subgroups):
-        inside = 0
-        for m, u in enumerate(subgroups):
-            if is_subgroup_of(u, s):
-                inside |= 1 << m
-        relation[s.gens] = (1 << k, inside)
-    return relation
-
-
-def precedes(a: CoveringTuple, b: CoveringTuple, relation) -> bool:
+def precedes(a: CoveringTuple, b: CoveringTuple) -> bool:
     """The slot-permutation order: a <= b iff each nonzero slot of ``a``
     lies inside a distinct slot of ``b``.
 
@@ -266,15 +242,13 @@ def precedes(a: CoveringTuple, b: CoveringTuple, relation) -> bool:
     inside b[sigma(i)].  The candidate slots of ``b`` for each nonzero
     slot of ``a`` are listed one slot at a time, and the answer is False
     as soon as one has none; a matching search runs over the lists.
-    Containment is read off ``relation``, a :func:`containment` over
-    tuples that include ``a`` and ``b``.
+    No package code calls it; the tests check
+    :func:`~latcover.lattices.is_minimal_cover` against it.
     """
-    inside = [relation[s.gens][1] for s in b]
     rows = []
     for s in a:
         if s.gens:
-            own = relation[s.gens][0]
-            row = [j for j, r in enumerate(inside) if own & r]
+            row = [j for j, t in enumerate(b) if is_subgroup_of(s, t)]
             if not row:
                 return False
             rows.append(row)
@@ -297,47 +271,6 @@ def precedes(a: CoveringTuple, b: CoveringTuple, relation) -> bool:
 
 def _canonical_sort_key(t: CoveringTuple):
     return tuple(sorted((index(s) if s.rank == 2 else 0, s.gens) for s in t))
-
-
-def possible_predecessors(tuples, relation) -> list[list[int]]:
-    """For each tuple c of ``tuples``, the positions of the tuples o whose
-    slots each lie inside some slot of c, c's own included.
-
-    If ``precedes(o, c)``, each nonzero slot of o is inside a slot of c,
-    and a zero slot inside any, so o is listed for c; the exact test
-    decides the rest.  Reads ``relation``, a :func:`containment` over
-    ``tuples``, into two ints per tuple: the bits of its slots, and the
-    bits of the subgroups inside one of them.  Tuples are told apart by
-    position, since a list may hold one tuple object twice.
-    """
-    own, reach = [], []
-    for t in tuples:
-        o = r = 0
-        for s in t:
-            bit, inside = relation[s.gens]
-            o |= bit
-            r |= inside
-        own.append(o)
-        reach.append(r)
-    return [[i for i, o in enumerate(own) if not o & ~r] for r in reach]
-
-
-def comparable_pairs(tuples) -> list[tuple[int, int]]:
-    """The sorted pairs ``(i, j)``, i != j, with ``tuples[i] <= tuples[j]``
-    under :func:`precedes`.
-
-    One :func:`containment` over ``tuples`` serves
-    :func:`possible_predecessors` and the exact :func:`precedes` test,
-    called through the module global, which runs only on the pairs the
-    former lists.
-    """
-    relation = containment(tuples)
-    return sorted(
-        (i, j)
-        for j, listed in enumerate(possible_predecessors(tuples, relation))
-        for i in listed
-        if i != j and precedes(tuples[i], tuples[j], relation)
-    )
 
 
 def _subtree(
@@ -425,11 +358,11 @@ def enumerate_minimal_coverings(search: Search | None = None) -> list[CoveringTu
     and takes as candidates the distinct pruned forms it certified, in
     which raw solutions differing only in slot order meet.  Only these
     become subgroup tuples again; it sorts them, then keeps those that
-    no other candidate precedes, as :func:`comparable_pairs` lists them.
-    The outcome does not depend on the traversal order.
+    :func:`~latcover.lattices.is_minimal_cover`, called through the
+    module global, accepts, each on its own.  The outcome does not
+    depend on the traversal order.
     """
     search = search or Search()
     raw_solutions(search=search)
     candidates = sorted(map(search.tuple_of, search.pruned), key=_canonical_sort_key)
-    preceded = {j for _, j in comparable_pairs(candidates)}
-    return [c for j, c in enumerate(candidates) if j not in preceded]
+    return [c for c in candidates if is_minimal_cover(c)]

@@ -103,17 +103,7 @@ def contains(s: Subgroup, v: Vec2) -> bool:
 
 
 def is_subgroup_of(a: Subgroup, b: Subgroup) -> bool:
-    """True iff every generator of ``a`` lies in ``b``.
-
-    For two rank-2 subgroups this is arithmetic on the canonical bases:
-    (a, 0), (c, b) lies in (A, 0), (C, B) iff A | a, B | b and
-    A | c - (b / B) * C.
-    """
-    if len(a.gens) == 2 and len(b.gens) == 2:
-        # Inlined, not two contains calls: a catalog pass makes 12,800 of these.
-        (pa, _), (pc, pb) = a.gens
-        (qa, _), (qc, qb) = b.gens
-        return pa % qa == 0 and pb % qb == 0 and (pc - (pb // qb) * qc) % qa == 0
+    """True iff every generator of ``a`` lies in ``b``."""
     return all(contains(b, g) for g in a.gens)
 
 
@@ -166,13 +156,13 @@ def adjoin(s: Subgroup, v: Vec2) -> Subgroup:
     return Subgroup(((u // d * k, w // d * k),))
 
 
-#: Largest intersection index :func:`is_cover` accepts.  The search makes
-#: no exact covering test; the package's own queries, on the 101 pruned
-#: forms that ``raw_solutions`` certifies and on the 54 catalog entries,
-#: peak at an index of 36.  So this leaves wide margin, while one row mask
-#: stays at most 125 kB and the row loop well under a second.  Past it a
-#: single query would take minutes or exhaust memory, so such input is
-#: rejected instead.
+#: Largest intersection index :func:`is_cover` and :func:`is_minimal_cover`
+#: accept.  The search makes no exact covering test; the package's own
+#: queries, on the 101 pruned forms that ``raw_solutions`` certifies and on
+#: the 54 catalog entries, peak at an index of 36.  So this leaves wide
+#: margin, while one row mask stays at most 125 kB and the row loop well
+#: under a second.  Past it a single query would take minutes or exhaust
+#: memory, so such input is rejected instead.
 MAX_COVER_INDEX = 10**6
 
 
@@ -282,6 +272,77 @@ def is_cover(subgroups) -> bool:
     if k is None:
         k = _period_factor(members, l)
     return _rows_full(rows, full, l, l * k)
+
+
+def _core(members) -> Subgroup:
+    """The intersection D of the rank-2 bases ``members``, as
+    (wa, 0), (wc, wb) with wa and wb as in :func:`is_cover`; wc is the
+    lowest bit of the AND of the members' row masks at height wb.
+    Raises ValueError when the index wa * wb exceeds
+    :data:`MAX_COVER_INDEX`."""
+    wa = math.lcm(*(a for (a, _), _ in members))
+    l = math.lcm(*(b for _, (_, b) in members))
+    wb = l * _period_factor(members, l)
+    if wa * wb > MAX_COVER_INDEX:
+        raise ValueError(
+            f"minimality test needs an intersection of index {wa * wb}, "
+            f"above the limit {MAX_COVER_INDEX}"
+        )
+    full = (1 << wa) - 1
+    inside = full
+    for (a, _), (c, b) in members:
+        inside &= full // ((1 << a) - 1) << (wb // b * c % a)
+    return Subgroup(((wa, 0), ((inside & -inside).bit_length() - 1, wb)))
+
+
+def is_minimal_cover(subgroups) -> bool:
+    """True iff the subgroups cover Z^2 and none can be dropped or
+    replaced by a proper subgroup of it with the union still Z^2.
+    Rank-0 slots are ignored.
+
+    This is irredundancy (B. H. Neumann, Publ. Math. Debrecen 3, 1954):
+    a cover is minimal iff each slot H is generated by U_H, the points
+    that H alone covers.  Any proper subgroup that can replace H contains
+    U_H, and U_H generates one that can.  By Neumann's lemma a slot of
+    infinite index can be dropped, so a rank-1 slot answers False.
+
+    U_H is a union of cosets of the core D, the intersection of the
+    slots, so D and the points of U_H in D's period box [0, wa) x [0, wb)
+    generate it; see :func:`_core`.  The box's rows are is_cover's row
+    masks: a row that is not full means no cover, and a bit is in U_H iff
+    it is in H's mask alone.  Row by row, the points of U_H are adjoined
+    to D until the result equals H, so no row is kept.  A slot equal to
+    D answers False, as it lies in every other slot; any other slot is
+    not D, so an empty U_H leaves the result short of it.  A slot equal
+    to Z^2 answers without the box.
+    """
+    members = [s.gens for s in subgroups if s.gens]
+    if not members or any(len(gens) == 1 for gens in members):
+        return False
+    if FULL.gens in members:
+        return len(members) == 1
+    core = _core(members)
+    (wa, _), (_, wb) = core.gens
+    full = (1 << wa) - 1
+    rows = [(b, c, a, full // ((1 << a) - 1)) for (a, _), (c, b) in members]
+    if core.gens in members:
+        return False
+    built = [core] * len(members)
+    for j in range(wb):
+        seen = multi = 0
+        masks = [comb << (j // b * c % a) if j % b == 0 else 0 for b, c, a, comb in rows]
+        for mask in masks:
+            multi |= seen & mask
+            seen |= mask
+        if seen != full:
+            return False
+        for i, (gens, mask) in enumerate(zip(members, masks)):
+            bits = mask & ~multi
+            while bits and built[i].gens != gens:
+                x = (bits & -bits).bit_length() - 1
+                bits &= bits - 1
+                built[i] = adjoin(built[i], (x, j))
+    return all(s.gens == gens for s, gens in zip(built, members))
 
 
 def lattice_of(gamma) -> Subgroup:

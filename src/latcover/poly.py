@@ -18,8 +18,8 @@ degrevlex, the leading monomial is ``max(p)``, and k times m / lm is
 rejects larger ones and any tuple that is not of length NVARS, and
 ``pack_poly`` rejects terms of degree above MAX_EXP, which bounds every
 exponent of every reduction of them, as no degrevlex reduction raises
-the degree.  ``add``, ``sub``, ``neg`` and ``scale`` serve both key
-forms; ``divides``, ``lcm``, ``combine`` (the S- and gcd-polynomials),
+the degree.  ``add``, ``neg`` and ``scale`` serve both key forms;
+``divides``, ``lcm``, ``combine`` (the S- and gcd-polynomials),
 ``leading_term`` and ``normal_form`` work on packed polynomials only.
 """
 
@@ -128,10 +128,6 @@ def add(p: Poly, q: Poly) -> Poly:
 
 def neg(p: Poly) -> Poly:
     return {m: -c for m, c in p.items()}
-
-
-def sub(p: Poly, q: Poly) -> Poly:
-    return add(p, neg(q))
 
 
 def scale(p: Poly, k: int) -> Poly:

@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from latcover import catalog as catalog_module
 from latcover import enumeration
 from latcover.catalog import (
     COVER_4_6,
@@ -115,30 +116,28 @@ def test_parse_caps_the_entry_count(catalog):
         parse(text * 19)
 
 
-def test_incomparability_detail_lists_ten_pairs(catalog):
-    def detail(cat):
-        (r,) = [r for r in verify_catalog(cat) if r.name == "entries-incomparable"]
-        return r.ok, r.detail
+def _minimality(cat):
+    (r,) = [r for r in verify_catalog(cat) if r.name == "entries-minimal"]
+    return r.ok, r.detail
 
-    assert detail(catalog) == (True, "comparable pairs []")
-    # Each entry of a doubled catalog precedes its copy and is preceded by
-    # it: 108 comparable pairs, of which the first ten are listed.
-    ok, text = detail(Catalog(catalog.entries * 2))
-    assert not ok
-    assert text == (
-        "comparable pairs [(0, 54), (1, 55), (2, 56), (3, 57), (4, 58), "
-        "(5, 59), (6, 60), (7, 61), (8, 62), (9, 63)], 108 in all"
+
+def test_incomparability_detail_lists_ten_pairs(catalog):
+    assert _minimality(catalog) == (True, "non-minimal []; repeated []")
+    # Each entry of a doubled catalog is minimal, and its copy repeats
+    # it: 54 repeated positions, of which the first ten are listed.
+    assert _minimality(Catalog(catalog.entries * 2)) == (
+        False,
+        "non-minimal []; repeated [54, 55, 56, 57, 58, 59, 60, 61, 62, 63], 54 in all",
     )
 
 
 def test_incomparability_catches_a_superset_entry():
     # F is E, the length-4 entry of the four index-3 subgroups, plus two
-    # index-2 subgroups.  Each slot of E lies in a distinct slot of F,
-    # though F sorts its index-2 slots first.
+    # index-2 subgroups.  Each slot of E lies in a distinct slot of F, so
+    # F's index-3 slots can be dropped and F is not minimal.
     e = entry_from_texts(LENGTH4_ENTRIES[3])
     f = entry_from_texts(LENGTH4_ENTRIES[3] + ("2,0;0,1", "1,0;0,2"))
-    (r,) = [r for r in verify_catalog(Catalog([e, f])) if r.name == "entries-incomparable"]
-    assert (r.ok, r.detail) == (False, "comparable pairs [(0, 1)], 1 in all")
+    assert _minimality(Catalog([e, f])) == (False, "non-minimal [1], 1 in all; repeated []")
 
 
 def test_large_prime_check_catches_any_prime_above_3():
@@ -155,24 +154,29 @@ def test_large_prime_check_catches_any_prime_above_3():
     assert index37.text() in r.detail
 
 
-def test_precedes_runs_only_on_prefiltered_pairs(monkeypatch, catalog):
-    # Counted through the module global that comparable_pairs calls: the
-    # containment bitset leaves 307 exact tests of the 10,100 ordered
-    # pairs of the minimality filter's candidates, and 150 of the 2,862
-    # pairs of distinct catalog entries.
+def test_minimality_rule_runs_once_per_candidate_and_entry(monkeypatch, catalog):
+    # Counted through the module globals of enumeration and catalog: the
+    # filter decides each of the 101 candidates on its own, keeping 54,
+    # and verify_catalog each of the 54 entries.
     calls = Counter()
-    inner = enumeration.precedes
 
-    def counted(a, b, relation):
-        calls["precedes"] += 1
-        return inner(a, b, relation)
+    def counted(module):
+        inner = module.is_minimal_cover
 
-    monkeypatch.setattr(enumeration, "precedes", counted)
+        def rule(t):
+            ok = inner(t)
+            calls[module.__name__, ok] += 1
+            return ok
+
+        monkeypatch.setattr(module, "is_minimal_cover", rule)
+
+    counted(enumeration)
+    counted(catalog_module)
     assert generate_catalog().entries == catalog.entries
-    assert calls["precedes"] == 307
+    assert calls == {("latcover.enumeration", True): 54, ("latcover.enumeration", False): 47}
     calls.clear()
-    verify_catalog(catalog)
-    assert calls["precedes"] == 150
+    assert all(r.ok for r in verify_catalog(catalog))
+    assert calls == {("latcover.catalog", True): 54}
 
 
 def test_parse_reports_line_number():

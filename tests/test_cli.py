@@ -142,9 +142,9 @@ def test_verify_catalog_rejects_huge_index(capsys, tmp_path):
 
 @pytest.mark.parametrize("n", [7, 11])
 def test_verify_catalog_rejects_long_entries(capsys, tmp_path, n):
-    # Entries longer than six lattices are rejected before the pairwise
-    # incomparability check, whose matching grows factorially with the
-    # entry length.
+    # Entries longer than six lattices are rejected while parsing: the
+    # catalog lists coverings by at most six subgroups, so no check runs
+    # on a longer one.
     unit = "1,0;0,1"
     long_cat = tmp_path / "long.cat"
     long_cat.write_text(
@@ -160,8 +160,8 @@ def test_verify_catalog_rejects_long_entries(capsys, tmp_path, n):
 
 
 def test_verify_catalog_rejects_too_many_entries(capsys, tmp_path, catalog):
-    # The incomparability check compares every pair of entries, so a
-    # catalog past the entry cap is a data error, raised while parsing.
+    # Every entry gets a covering and a minimality test, so a catalog
+    # past the entry cap is a data error, raised while parsing.
     big = tmp_path / "big.cat"
     big.write_text(serialize(catalog) * 60)
     start = time.perf_counter()
@@ -170,6 +170,23 @@ def test_verify_catalog_rejects_too_many_entries(capsys, tmp_path, catalog):
     assert code == 2
     assert out == ""
     assert err == "error: line 1001: more than 1000 catalog entries\n"
+
+
+def test_verify_catalog_rejects_a_non_minimal_entry(capsys, tmp_path, catalog):
+    # Enlarging the slot 2,0;0,3 of entry 26 to 1,0;0,3 keeps a cover of
+    # the right length and density that no other entry lies below.  The
+    # enlarged slot can shrink back, so the entry is not minimal.
+    lines = serialize(catalog).splitlines(keepends=True)
+    assert " | 2,0;0,3 | " in lines[26]
+    lines[26] = lines[26].replace(" | 2,0;0,3 | ", " | 1,0;0,3 | ")
+    bad = tmp_path / "bad.cat"
+    bad.write_text("".join(lines))
+    code, out, err = run(capsys, "verify-catalog", "--in", str(bad))
+    assert code == 1
+    assert err == ""
+    assert [line for line in out.splitlines() if line.startswith("FAIL")] == [
+        "FAIL entries-minimal  (non-minimal [26], 1 in all; repeated [])"
+    ]
 
 
 def test_verify_catalog_rejects_overlong_file(capsys, tmp_path, catalog):
@@ -307,7 +324,7 @@ def test_verify_all_text_and_json(capsys, monkeypatch, catalog, reduced_bases):
     names = [c["name"] for c in payload["checks"]]
     assert {
         "catalog/counts-per-length",
-        "catalog/entries-incomparable",
+        "catalog/entries-minimal",
         "modular/pair-classes-mod-3",
         "modular/lifted-classes-(0,1,0,1)-mod-9",
         "modular/quadratic-forms-mod-9",

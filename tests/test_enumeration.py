@@ -9,16 +9,14 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from latcover import enumeration
-from latcover.catalog import generate_catalog, verify_catalog
+from latcover.catalog import generate_catalog
 from latcover.enumeration import (
     EMPTY_TUPLE,
     FORCING_POINTS,
     SLOTS,
     ForcingListExhausted,
-    containment,
     enumerate_minimal_coverings,
     find_lattices,
-    possible_predecessors,
     precedes,
     raw_solutions,
 )
@@ -30,6 +28,7 @@ from latcover.lattices import (
     contains,
     index,
     is_cover,
+    is_minimal_cover,
 )
 
 # The unique length-3 covering: even x, even y, and x = y (mod 2).
@@ -53,11 +52,6 @@ def prune(t):
     ids = search.ids(t)
     ranks = enumeration._slot_ranks(search.subgroups)
     return search.tuple_of(enumeration._prune_ids(ids, search.masks, ranks))
-
-
-def precedes_pair(a, b):
-    """``precedes`` on the containment relation of the two tuples alone."""
-    return precedes(a, b, containment((a, b)))
 
 
 def test_forcing_list_shape():
@@ -112,18 +106,18 @@ def test_prune_keeps_minimal_tuple():
 
 def test_precedes_partial_order():
     a = LENGTH3 + (ZERO,) * 3
-    assert precedes_pair(a, a)
+    assert precedes(a, a)
     # A permuted copy is equivalent in both directions.
     b = (LENGTH3[2], LENGTH3[0], LENGTH3[1]) + (ZERO,) * 3
-    assert precedes_pair(a, b) and precedes_pair(b, a)
+    assert precedes(a, b) and precedes(b, a)
     # A tuple with a strictly smaller slot precedes, not conversely.
     finer = (
         canonicalize([(4, 0), (0, 1)]),
         LENGTH3[1],
         LENGTH3[2],
     ) + (ZERO,) * 3
-    assert precedes_pair(finer, a)
-    assert not precedes_pair(a, finer)
+    assert precedes(finer, a)
+    assert not precedes(a, finer)
 
 
 def _precedes_by_permutations(a, b):
@@ -199,68 +193,34 @@ def _tuple_pairs(draw):
 @given(_tuple_pairs())
 def test_precedes_matches_permutation_search(pair):
     a, b = pair
-    assert precedes_pair(a, b) == _precedes_by_permutations(a, b)
-
-
-@given(_tuple_pairs())
-def test_possible_predecessors_lists_every_predecessor(pair):
-    a, b = pair
-    listed = possible_predecessors([a, b], containment((a, b)))
-    assert 1 in listed[1] and 0 in listed[0]
-    if precedes_pair(a, b):
-        assert 0 in listed[1]
-    if precedes_pair(b, a):
-        assert 1 in listed[0]
+    assert precedes(a, b) == _precedes_by_permutations(a, b)
 
 
 def _all_pairs_minimal(candidates):
     return [
         c for i, c in enumerate(candidates)
-        if not any(j != i and precedes_pair(o, c) for j, o in enumerate(candidates))
+        if not any(j != i and precedes(o, c) for j, o in enumerate(candidates))
     ]
 
 
 def test_prefilter_is_sound_on_candidates_and_doubled_catalog(catalog):
+    # The filter keeps the candidates that no other candidate precedes.
+    # On a doubled catalog, padded or not, every entry precedes its copy
+    # and nothing else, so each entry is minimal and only the copies
+    # repeat an earlier entry.
     candidates = sorted(
         {prune(t) for t in raw_solutions()}, key=enumeration._canonical_sort_key
     )
     assert len(candidates) == 101
-    assert len(containment(candidates)) == 80
-    # A doubled catalog holds each entry's tuple object twice: positions
-    # tell them apart.  On every ordered pair, precedes on the one
-    # relation over all the tuples, padded or not, agrees with precedes
-    # on the pair alone.
+    assert enumerate_minimal_coverings() == _all_pairs_minimal(candidates)
     lattices = [e.lattices for e in catalog.entries]
     padded = [t + (ZERO,) * (SLOTS - len(t)) for t in lattices]
-    for tuples in (candidates, lattices * 2, padded * 2):
-        relation = containment(tuples)
-        listed = possible_predecessors(tuples, relation)
-        for j, c in enumerate(tuples):
-            for i, o in enumerate(tuples):
-                exact = precedes_pair(o, c)
-                assert precedes(o, c, relation) == exact
-                if exact:
-                    assert i in listed[j]
-    assert enumerate_minimal_coverings() == _all_pairs_minimal(candidates)
-
-
-def test_catalog_decides_each_containment_once(monkeypatch):
-    # One is_subgroup_of per ordered pair of the distinct subgroups,
-    # counted through enumeration's module global: 80 for the candidates,
-    # zero included, and 79 for the unpadded catalog entries.
-    calls = Counter()
-    inner = enumeration.is_subgroup_of
-
-    def counted(a, b):
-        calls["is_subgroup_of"] += 1
-        return inner(a, b)
-
-    monkeypatch.setattr(enumeration, "is_subgroup_of", counted)
-    catalog = generate_catalog()
-    assert calls["is_subgroup_of"] == 80**2
-    calls.clear()
-    assert all(r.ok for r in verify_catalog(catalog))
-    assert calls["is_subgroup_of"] == 79**2
+    for tuples in (lattices * 2, padded * 2):
+        assert [
+            (i, j) for i, o in enumerate(tuples) for j, c in enumerate(tuples)
+            if i != j and precedes(o, c)
+        ] == sorted((i, (i + 54) % 108) for i in range(108))
+        assert all(map(is_minimal_cover, tuples))
 
 
 def test_minimal_coverings_counts(catalog):
@@ -405,23 +365,22 @@ def test_minimal_coverings_prune_each_distinct_raw_solution_once(monkeypatch):
     expected = sorted({prune(t) for t in raw}, key=enumeration._canonical_sort_key)
     calls = Counter()
     inner_prune = enumeration._prune_ids
-    inner_listed = enumeration.possible_predecessors
+    ruled = []
 
     def counted(ids, masks, ranks):
         calls["prune"] += 1
         return inner_prune(ids, masks, ranks)
 
-    def recorded(tuples, relation):
-        calls["candidates"] += 1
-        assert tuples == expected
-        return inner_listed(tuples, relation)
+    def recorded(t):
+        ruled.append(t)
+        return is_minimal_cover(t)
 
     monkeypatch.setattr(enumeration, "_prune_ids", counted)
-    monkeypatch.setattr(enumeration, "possible_predecessors", recorded)
+    monkeypatch.setattr(enumeration, "is_minimal_cover", recorded)
     assert len(enumerate_minimal_coverings()) == 54
     assert len(raw) == 6131 and len(set(raw)) == 4295
-    assert calls == {"prune": 4295, "candidates": 1}
-    assert len(expected) == 101
+    assert calls == {"prune": 4295}
+    assert ruled == expected and len(expected) == 101
 
 
 def test_prune_rejects_more_than_six_slots():

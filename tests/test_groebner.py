@@ -317,7 +317,9 @@ def test_groebner_output_is_a_strong_basis(gens):
         uf = tuple(a - b for a, b in zip(m, mf))
         ug = tuple(a - b for a, b in zip(m, mg))
         lc = math.lcm(cf, cg)
-        s_poly = poly.sub(_times_monomial(f, uf, lc // cf), _times_monomial(g, ug, lc // cg))
+        s_poly = poly.add(
+            _times_monomial(f, uf, lc // cf), poly.neg(_times_monomial(g, ug, lc // cg))
+        )
         assert reduces_to_zero(s_poly, basis), (basis, f, g)
         if cf % cg and cg % cf:
             _, a, b = xgcd(cf, cg)
@@ -339,7 +341,7 @@ def test_chain_criterion_needs_the_coefficient_condition():
     t1_sq_t2 = _power(t1=2, t2=1)
     gens = [
         poly.scale(t1_sq_t2, -2),
-        poly.sub(poly.scale(t1_sq_t2, -3), t2),
+        poly.add(poly.scale(t1_sq_t2, -3), poly.neg(t2)),
         poly.mul(t1, t2),
     ]
     assert strong_groebner(gens) == [t2]

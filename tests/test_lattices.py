@@ -18,6 +18,7 @@ from latcover.lattices import (
     MAX_COVER_INDEX,
     ZERO,
     Subgroup,
+    _core,
     _dual,
     adjoin,
     canonicalize,
@@ -25,6 +26,7 @@ from latcover.lattices import (
     density_sum,
     index,
     is_cover,
+    is_minimal_cover,
     is_subgroup_of,
     lattice_of,
 )
@@ -225,8 +227,8 @@ subgroups = st.one_of(small_rank2, gens_lists.map(canonicalize))
 
 @given(subgroups, subgroups)
 def test_is_subgroup_of_matches_generator_test(p, q):
-    assert is_subgroup_of(p, q) == all(contains(q, g) for g in p.gens)
     w = intersect(p, q)
+    assert is_subgroup_of(p, q) == (w == p)
     assert is_subgroup_of(w, q) and all(contains(q, g) for g in w.gens)
 
 
@@ -516,6 +518,140 @@ def test_is_cover_short_circuit_and_rank_filter():
     ]
     assert is_cover(triple)
     assert not is_cover(triple[:2])
+
+
+def _is_prime(n: int) -> bool:
+    return n > 1 and all(n % d for d in range(2, math.isqrt(n) + 1))
+
+
+def _prime_index_subgroups(h: Subgroup, p: int):
+    """The p + 1 subgroups of index p in the rank-2 subgroup h."""
+    g1, g2 = h.gens
+    yield canonicalize([g1, (p * g2[0], p * g2[1])])
+    for k in range(p):
+        yield canonicalize([(p * g1[0], p * g1[1]), (g2[0] + k * g1[0], g2[1] + k * g1[1])])
+
+
+def _minimal_by_replacement(slots) -> bool:
+    """Reference for is_minimal_cover on rank-2 slots, by is_cover only:
+    the slots cover, none can be dropped, and no slot H can be replaced
+    by a subgroup K of prime index in H with K containing the core D.
+    Any smaller subgroup that can replace H contains the points only H
+    covers, and with them D, so it lies in such a K; when there are no
+    such points, H can be dropped."""
+    slots = [s for s in slots if s.rank]
+    core = reduce(intersect, slots)
+    if not is_cover(slots):
+        return False
+    for i, h in enumerate(slots):
+        if is_cover(slots[:i] + slots[i + 1:]):
+            return False
+        n = index(core) // index(h)
+        for p in (p for p in range(2, n + 1) if n % p == 0 and _is_prime(p)):
+            for k in _prime_index_subgroups(h, p):
+                if all(contains(k, g) for g in core.gens) and is_cover(
+                    slots[:i] + [k] + slots[i + 1:]
+                ):
+                    return False
+    return True
+
+
+def _candidates():
+    search = enumeration.Search()
+    enumeration.raw_solutions(search=search)
+    return sorted(map(search.tuple_of, search.pruned), key=enumeration._canonical_sort_key)
+
+
+def test_is_minimal_cover_matches_replacement_oracle(catalog):
+    # The filter's 101 candidates: 54 pass and 47 fail, as by the
+    # oracle, and as by the covering order over all 10,100 ordered pairs.
+    candidates = _candidates()
+    verdicts = [is_minimal_cover(t) for t in candidates]
+    assert verdicts == [_minimal_by_replacement(t) for t in candidates]
+    assert Counter(verdicts) == {True: 54, False: 47}
+    assert verdicts == [
+        not any(j != i and enumeration.precedes(o, c) for j, o in enumerate(candidates))
+        for i, c in enumerate(candidates)
+    ]
+    for e in catalog.entries:
+        assert is_minimal_cover(e.lattices) and _minimal_by_replacement(e.lattices)
+
+
+def test_core_is_the_intersection_of_the_slots(catalog):
+    tuples = _candidates() + [e.lattices for e in catalog.entries]
+    rng = random.Random(36)
+    tuples += [[_random_lattice(rng, 12) for _ in range(rng.randint(1, 6))] for _ in range(500)]
+    for t in tuples:
+        members = [s for s in t if s.rank]
+        assert _core([s.gens for s in members]) == reduce(intersect, members), t
+
+
+def _prime_index_supergroups(h: Subgroup):
+    """The subgroups of Z^2 in which h has prime index."""
+    (a, _), (_, b) = h.gens
+    found = {adjoin(h, (x, y)) for x in range(a) for y in range(b)}
+    return [s for s in found if _is_prime(index(h) // index(s))]
+
+
+def test_is_minimal_cover_rejects_every_enlarged_entry(catalog):
+    # Enlarging one slot of an entry to a subgroup in which it has prime
+    # index keeps a cover that the entry lies below, so none of the 328
+    # is minimal.  Entry 26 with its slot 2,0;0,3 enlarged to 1,0;0,3
+    # is among them.
+    tried = []
+    for e in catalog.entries:
+        slots = list(e.lattices)
+        for i, h in enumerate(slots):
+            for s in _prime_index_supergroups(h):
+                t = slots[:i] + [s] + slots[i + 1:]
+                assert not is_minimal_cover(t) and not _minimal_by_replacement(t), t
+                tried.append((e, h, s))
+    assert len(tried) == 328
+    e = catalog.entries[26]
+    assert (e, e.lattices[2], canonicalize([(1, 0), (0, 3)])) in tried
+
+
+def test_is_minimal_cover_matches_oracle_on_seeded_tuples(catalog):
+    # Catalog entries with one slot enlarged, or split into the p + 1
+    # subgroups of index p in it, which cover it, and random tuples.
+    rng = random.Random(1954)
+    seen = Counter()
+    for _ in range(600):
+        slots = list(rng.choice(catalog.entries).lattices)
+        i = rng.randrange(len(slots))
+        kind = rng.choice(("enlarge", "split", "random"))
+        if kind == "enlarge":
+            slots[i] = adjoin(slots[i], (rng.randint(0, 3), rng.randint(0, 3)))
+        elif kind == "split":
+            slots[i:i + 1] = _prime_index_subgroups(slots[i], rng.choice((2, 3)))
+        else:
+            slots = [_random_lattice(rng) for _ in range(rng.randint(3, 6))]
+        if index(reduce(intersect, slots)) > 2000:
+            continue
+        got = is_minimal_cover(slots)
+        assert got == _minimal_by_replacement(slots), slots
+        seen[kind, got] += 1
+    assert all(seen[kind, v] for kind in ("enlarge", "split") for v in (True, False)), seen
+
+
+def test_is_minimal_cover_edge_cases():
+    triple = [
+        canonicalize([(2, 0), (0, 1)]),
+        canonicalize([(1, 0), (0, 2)]),
+        canonicalize([(1, 1), (0, 2)]),
+    ]
+    assert is_minimal_cover(triple) and is_minimal_cover(triple + [ZERO] * 3)
+    assert not is_minimal_cover(triple[:2])
+    assert not is_minimal_cover([])
+    assert not is_minimal_cover(triple + [canonicalize([(1, 1)])])
+    assert not is_minimal_cover(triple + [triple[0]])
+    # The core of the triple is 2Z x 2Z; a slot equal to it covers
+    # nothing alone, though it generates itself.
+    assert not is_minimal_cover(triple + [canonicalize([(2, 0), (0, 2)])])
+    assert is_minimal_cover([FULL]) and not is_minimal_cover([FULL, triple[0]])
+    assert not is_minimal_cover([FULL, Subgroup(((10**12, 0), (0, 1)))])
+    with pytest.raises(ValueError, match="above the limit"):
+        is_minimal_cover(triple + [Subgroup(((10**12, 0), (0, 1)))])
 
 
 def _random_gamma(rng):
