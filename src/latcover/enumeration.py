@@ -4,8 +4,8 @@ The search grows a 6-slot tuple of subgroups one forced point at a time:
 whenever the current union misses a point of the forcing list, that point
 is adjoined to one of the slots (only up to the first empty slot, which
 breaks slot-permutation symmetry) and the search recurses.  Recorded
-tuples are then pruned, and a minimality rule applied to each pruned
-form on its own reduces them to the minimal coverings.
+tuples are then pruned to sets of slots, and a minimality rule applied
+to each pruned form on its own reduces them to the minimal coverings.
 
 Each search works on its own :class:`Search` tables, in which the 185
 subgroups it reaches are interned as small ints, so slot tuples and steps
@@ -18,8 +18,10 @@ allows, and runs no exact test.  :func:`raw_solutions` certifies its
 output instead: it prunes each distinct raw tuple once, on the masks,
 and runs the exact :func:`~latcover.lattices.is_cover` on each of the
 101 distinct pruned forms.  A raw tuple's slots include its pruned
-form's, so this covers every raw tuple.  The tables live as long as the
-caller keeps the :class:`Search`.
+form's, so this covers every raw tuple.  A pruned form is the set of
+the ids it keeps, with no slot order and no zero slots; only
+:func:`enumerate_minimal_coverings` orders slots, once, on the 101
+forms.  The tables live as long as the caller keeps the :class:`Search`.
 
 The minimality filter and ``verify-catalog`` share one rule,
 :func:`~latcover.lattices.is_minimal_cover`: a covering is minimal iff
@@ -103,7 +105,8 @@ class Search:
     ``i * len(FORCING_POINTS) + p`` to the id of subgroup i enlarged by
     forcing point p, or to -1 when that is all of Z^2.  ``solutions``
     holds the id tuples that a :func:`raw_solutions` call on these tables
-    found, and ``pruned`` the set of their certified pruned forms.
+    found, and ``pruned`` the set of their certified pruned forms, each
+    the frozenset of the nonzero ids it keeps.
     """
 
     def __init__(self):
@@ -111,7 +114,7 @@ class Search:
         self.masks: list[int] = []
         self.steps: dict[int, int] = {}
         self.solutions: list[tuple[int, ...]] = []
-        self.pruned: set[tuple[int, ...]] = set()
+        self.pruned: set[frozenset[int]] = set()
         self._ids: dict[tuple, int] = {}
         self.intern(ZERO)
 
@@ -189,21 +192,17 @@ def find_lattices(
     return solutions
 
 
-def _prune_ids(
-    ids: tuple[int, ...], masks: list[int], ranks: list[int]
-) -> tuple[int, ...]:
-    """The normal form of a covering tuple of ids of one :class:`Search`,
-    given its ``masks`` and the :func:`_slot_ranks` of its subgroups, with
-    its redundant slots dropped; id 0 is the zero subgroup.
+def _prune_ids(ids: tuple[int, ...], masks: list[int]) -> frozenset[int]:
+    """The ids a covering tuple of ids of one :class:`Search` keeps once
+    its redundant slots are dropped, given the search's ``masks``.
 
-    Each slot in turn, in slot order, becomes id 0 if the other slots'
+    Each slot in turn, in slot order, is dropped if the other slots'
     masks together are full.  By the forcing property the rest then still
     covers, and a missed forcing point shows that it does not, so no
-    exact test runs.  The kept slots come back sorted by (index, basis),
-    followed by the zero slots, so tuples that differ only in slot order
-    prune to equal tuples.  A wrong drop yields a pruned form that does
-    not cover, and the certification of :func:`raw_solutions` raises
-    ValueError on it.
+    exact test runs.  The pruned form is the set of the kept nonzero
+    ids, so tuples that differ only in slot order or zero padding prune
+    to one set.  A wrong drop yields a set that does not cover, and the
+    certification of :func:`raw_solutions` raises ValueError on it.
     """
     # after[k] is the OR of the masks of slots k + 1 on, none dropped yet;
     # before is the OR of the masks of the slots kept so far.
@@ -217,19 +216,7 @@ def _prune_ids(
             before |= masks[i]
             if i:
                 kept.append(i)
-    kept.sort(key=ranks.__getitem__)
-    return tuple(kept) + (0,) * (len(ids) - len(kept))
-
-
-def _slot_ranks(subgroups: list[Subgroup]) -> list[int]:
-    """The rank of each of ``subgroups`` in (index, basis) order, the
-    order of the kept slots of a pruned tuple; the subgroups are
-    distinct, so int ranks sort ids as those keys would."""
-    keys = [(index(s), s.gens) for s in subgroups]
-    ranks = [0] * len(keys)
-    for rank, i in enumerate(sorted(range(len(keys)), key=keys.__getitem__)):
-        ranks[i] = rank
-    return ranks
+    return frozenset(kept)
 
 
 def precedes(a: CoveringTuple, b: CoveringTuple) -> bool:
@@ -269,8 +256,8 @@ def precedes(a: CoveringTuple, b: CoveringTuple) -> bool:
     return assign(0)
 
 
-def _canonical_sort_key(t: CoveringTuple):
-    return tuple(sorted((index(s) if s.rank == 2 else 0, s.gens) for s in t))
+def _slot_key(s: Subgroup):
+    return (index(s), s.gens)
 
 
 def _subtree(
@@ -327,7 +314,7 @@ def raw_solutions(
     sequential one up to order.  A ``search`` given is searched on in
     this process, so ``workers`` must then be 1; its ``solutions`` are
     the id tuples of the returned list, in order, and ``pruned`` their
-    pruned forms.
+    pruned forms, as frozensets of ids.
     """
     if search is None:
         search = Search()
@@ -343,8 +330,7 @@ def raw_solutions(
             for chunk in pool.map(_subtree, tasks):
                 out.extend(chunk)
         search.solutions = list(map(search.ids, out))
-    ranks = _slot_ranks(search.subgroups)
-    search.pruned = {_prune_ids(t, search.masks, ranks) for t in set(search.solutions)}
+    search.pruned = {_prune_ids(t, search.masks) for t in set(search.solutions)}
     for t in search.pruned:
         if not is_cover(search.tuple_of(t)):
             raise ValueError(f"{[s.gens for s in search.tuple_of(t)]} does not cover Z^2")
@@ -357,12 +343,16 @@ def enumerate_minimal_coverings(search: Search | None = None) -> list[CoveringTu
     Runs :func:`raw_solutions` once, on ``search`` or on new tables,
     and takes as candidates the distinct pruned forms it certified, in
     which raw solutions differing only in slot order meet.  Only these
-    become subgroup tuples again; it sorts them, then keeps those that
-    :func:`~latcover.lattices.is_minimal_cover`, called through the
-    module global, accepts, each on its own.  The outcome does not
-    depend on the traversal order.
+    become subgroup tuples again, without zero slots: each tuple's slots
+    are sorted by (index, basis), and the tuples by (length, slot keys).
+    It keeps those that :func:`~latcover.lattices.is_minimal_cover`,
+    called through the module global, accepts, each on its own.  The
+    outcome does not depend on the traversal order.
     """
     search = search or Search()
     raw_solutions(search=search)
-    candidates = sorted(map(search.tuple_of, search.pruned), key=_canonical_sort_key)
+    candidates = sorted(
+        (tuple(sorted(search.tuple_of(t), key=_slot_key)) for t in search.pruned),
+        key=lambda t: (len(t), list(map(_slot_key, t))),
+    )
     return [c for c in candidates if is_minimal_cover(c)]

@@ -154,6 +154,54 @@ def test_large_prime_check_catches_any_prime_above_3():
     assert index37.text() in r.detail
 
 
+def test_minimality_check_fails_an_entry_that_does_not_cover():
+    # canonical_entry refuses a non-cover, so the entry is built directly:
+    # two of the three index-2 subgroups miss the odd points of x = y.
+    # The minimality rule answers False on a union that misses a point,
+    # so entries-minimal lists it, with no separate covering check.
+    length3 = entry_from_texts(LENGTH3_ENTRY)
+    partial = CatalogEntry(length3.lattices[:2])
+    assert not is_cover(partial.lattices)
+    assert _minimality(Catalog([length3, partial])) == (
+        False, "non-minimal [1], 1 in all; repeated []"
+    )
+    assert "entries-cover" not in {r.name for r in verify_catalog(Catalog([length3]))}
+
+
+def _replace(entries, old, new):
+    return [new if e == old else e for e in entries]
+
+
+#: For each catalog check that the other tests never see fail, a change
+#: to the real catalog that must make it fail.
+_BREAKS = {
+    "counts-per-length": lambda es: es[:-1],
+    "length3-entry": lambda es: es + [entry_from_texts(LENGTH3_ENTRY)],
+    "length4-entries": lambda es: _replace(
+        es, entry_from_texts(LENGTH4_ENTRIES[1]), entry_from_texts(LENGTH4_ENTRIES[0])
+    ),
+    "length5-no-all-indices-divisible-by-4": lambda es: es
+    + [CatalogEntry(entry_from_texts(COVER_4_6).lattices[:5])],
+    "length5-no-index-divisible-by-5": lambda es: es
+    + [CatalogEntry(entry_from_texts(COVER_5_6).lattices[:5])],
+    "length6-two-entries-all-indices-ge-4": lambda es: [
+        e for e in es if e != entry_from_texts(COVER_4_6)
+    ],
+    "entries-density-above-1": lambda es: es
+    + [CatalogEntry(entry_from_texts(LENGTH3_ENTRY).lattices[:2])],
+}
+
+
+@pytest.mark.parametrize("name", sorted(_BREAKS))
+def test_each_catalog_check_fails_on_a_crafted_catalog(catalog, name):
+    results = {r.name: r.ok for r in verify_catalog(catalog)}
+    assert results[name] is True
+    broken = Catalog(_BREAKS[name](list(catalog.entries)))
+    assert broken.entries != catalog.entries
+    (r,) = [r for r in verify_catalog(broken) if r.name == name]
+    assert not r.ok, r.detail
+
+
 def test_minimality_rule_runs_once_per_candidate_and_entry(monkeypatch, catalog):
     # Counted through the module globals of enumeration and catalog: the
     # filter decides each of the 101 candidates on its own, keeping 54,

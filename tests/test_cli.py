@@ -335,10 +335,10 @@ def test_verify_all_text_and_json(capsys, monkeypatch, catalog, reduced_bases):
         "form/XY(X+3Y)",
         "form/value-sets-F0-vs-companion",
     } <= set(names)
-    assert len(names) == len(set(names)) == 10 + 8 + 20 + 4
+    assert len(names) == len(set(names)) == 9 + 8 + 20 + 4
     assert text.splitlines() == [f"PASS {n}" for n in names] + ["all checks passed"]
     assert [n.split("/", 1)[0] for n in names] == [
-        group for (group, _), k in zip(claims.GROUPS, (10, 8, 20, 4)) for _ in range(k)
+        group for (group, _), k in zip(claims.GROUPS, (9, 8, 20, 4)) for _ in range(k)
     ]
     code, out, _ = run(capsys, "--format", "json", "verify-catalog")
     assert code == 0

@@ -43,15 +43,25 @@ def prune(t):
     """The normal form of a covering tuple with its redundant slots dropped,
     by the kernel ``raw_solutions`` uses, on a new search's tables.
 
+    The kernel returns the set of kept ids; this rebuilds the tuple it
+    once returned, the kept slots sorted by (index, basis) and padded
+    with ``ZERO`` to ``SLOTS`` slots, so pins taken on that form hold.
     Raises ValueError for more than ``SLOTS`` slots, where the forcing
     property says nothing.
     """
     if len(t) > SLOTS:
         raise ValueError(f"{len(t)} slots, more than {SLOTS}")
     search = enumeration.Search()
-    ids = search.ids(t)
-    ranks = enumeration._slot_ranks(search.subgroups)
-    return search.tuple_of(enumeration._prune_ids(ids, search.masks, ranks))
+    kept = enumeration._prune_ids(search.ids(t), search.masks)
+    slots = sorted(search.tuple_of(kept), key=enumeration._slot_key)
+    return tuple(slots) + (ZERO,) * (SLOTS - len(slots))
+
+
+def _candidates(raw):
+    """The minimality filter's candidates: the distinct pruned forms of
+    ``raw`` without their zero slots, ordered by (length, slot keys)."""
+    forms = {tuple(s for s in prune(t) if s.rank) for t in raw}
+    return sorted(forms, key=lambda t: (len(t), list(map(enumeration._slot_key, t))))
 
 
 def test_forcing_list_shape():
@@ -141,14 +151,19 @@ _small_subgroup = st.one_of(
 
 
 def _prune_by_exact_tests(t):
-    """Reference for ``prune``: the exact covering test for every slot."""
+    """Reference for ``prune``: the exact covering test for every slot.
+
+    The kernel returns a set, so the kept slots are taken as one: on a
+    cover no slot is kept twice anyway, but a tuple that does not cover
+    keeps every slot, repeats included, and those merge.
+    """
     slots = list(t)
     for i in range(len(slots)):
         old = slots[i]
         slots[i] = ZERO
         if not is_cover(slots):
             slots[i] = old
-    kept = sorted((s for s in slots if s.rank != 0), key=lambda s: (index(s), s.gens))
+    kept = sorted({s for s in slots if s.rank != 0}, key=lambda s: (index(s), s.gens))
     return tuple(kept) + (ZERO,) * (len(t) - len(kept))
 
 
@@ -208,9 +223,7 @@ def test_prefilter_is_sound_on_candidates_and_doubled_catalog(catalog):
     # On a doubled catalog, padded or not, every entry precedes its copy
     # and nothing else, so each entry is minimal and only the copies
     # repeat an earlier entry.
-    candidates = sorted(
-        {prune(t) for t in raw_solutions()}, key=enumeration._canonical_sort_key
-    )
+    candidates = _candidates(raw_solutions())
     assert len(candidates) == 101
     assert enumerate_minimal_coverings() == _all_pairs_minimal(candidates)
     lattices = [e.lattices for e in catalog.entries]
@@ -337,11 +350,11 @@ def test_raw_solutions_fail_when_a_pruned_form_does_not_cover(monkeypatch, worke
     # The certification is the guard: one wrong verdict, on the pruned
     # length-3 form, fails the call.  With workers the parent process
     # certifies the pooled tuples, so the patch here applies.
-    target = prune(LENGTH3 + (ZERO,) * 3)
+    # A pruned form is a set of slots, so the patch compares slot sets.
     inner = enumeration.is_cover
 
     def rejects_target(subgroups):
-        return tuple(subgroups) != target and inner(subgroups)
+        return set(subgroups) != set(LENGTH3) and inner(subgroups)
 
     monkeypatch.setattr(enumeration, "is_cover", rejects_target)
     with pytest.raises(ValueError, match="does not cover"):
@@ -362,14 +375,14 @@ def test_minimal_coverings_prune_each_distinct_raw_solution_once(monkeypatch):
     # the distinct ones go through the prune kernel, as id tuples.  The
     # sorted candidates are those of pruning every raw tuple into a set.
     raw = raw_solutions()
-    expected = sorted({prune(t) for t in raw}, key=enumeration._canonical_sort_key)
+    expected = _candidates(raw)
     calls = Counter()
     inner_prune = enumeration._prune_ids
     ruled = []
 
-    def counted(ids, masks, ranks):
+    def counted(ids, masks):
         calls["prune"] += 1
-        return inner_prune(ids, masks, ranks)
+        return inner_prune(ids, masks)
 
     def recorded(t):
         ruled.append(t)
@@ -392,14 +405,14 @@ def test_catalog_fails_on_a_wrong_prune_drop(monkeypatch):
     # Dropping a slot of the length-3 candidate leaves two subgroups that
     # do not cover.  raw_solutions certifies every distinct pruned form
     # with the exact test, so it raises before the minimality filter or
-    # canonical_entry sees them.  The kernel works on ids, where id 0 is
-    # the zero subgroup.
+    # canonical_entry sees them.  The kernel returns the set of the ids
+    # it keeps.
     inner = enumeration._prune_ids
 
-    def drops_too_much(ids, masks, ranks):
-        out = inner(ids, masks, ranks)
-        if sum(1 for i in out if i) == 3:
-            out = out[:2] + (0,) * (len(out) - 2)
+    def drops_too_much(ids, masks):
+        out = inner(ids, masks)
+        if len(out) == 3:
+            out = out - {min(out)}
         return out
 
     monkeypatch.setattr(enumeration, "_prune_ids", drops_too_much)

@@ -466,12 +466,31 @@ def test_normal_form_calls_per_system(monkeypatch):
     assert sum(counts.values()) == 2805
 
 
-def test_verify_all_packs_each_basis_once(monkeypatch, reduced_bases):
-    packed = []
-    inner = groebner._packed_leads
-    monkeypatch.setattr(groebner, "_packed_leads", lambda b: packed.append(1) or inner(b))
+def test_verify_all_decides_membership_through_the_public_functions(
+    monkeypatch, reduced_bases
+):
+    # Through the module globals: contains_constant(3, .) once on each
+    # basis, and reduces_to_zero once, on the exceptional triple's basis,
+    # for t1^2 + t1*t3 + t3^2.
+    calls = []
+    contains, reduces = groebner.contains_constant, groebner.reduces_to_zero
+
+    def counted_contains(c, basis):
+        calls.append(("contains_constant", c, id(basis)))
+        return contains(c, basis)
+
+    def counted_reduces(p, basis):
+        calls.append(("reduces_to_zero", p == COEFF_POLYS["R"][2], id(basis)))
+        return reduces(p, basis)
+
+    monkeypatch.setattr(groebner, "contains_constant", counted_contains)
+    monkeypatch.setattr(groebner, "reduces_to_zero", counted_reduces)
     assert all(v.ok for v in groebner.verify_all(reduced_bases))
-    assert len(packed) == len(reduced_bases)
+    triple = id(reduced_bases[EXCEPTIONAL_TRIPLE])
+    assert [c for c in calls if c[0] == "reduces_to_zero"] == [("reduces_to_zero", True, triple)]
+    assert [c for c in calls if c[0] == "contains_constant"] == [
+        ("contains_constant", 3, id(b)) for b in reduced_bases.values()
+    ]
 
 
 def test_groebner_principal_ideal():

@@ -559,7 +559,7 @@ def _minimal_by_replacement(slots) -> bool:
 def _candidates():
     search = enumeration.Search()
     enumeration.raw_solutions(search=search)
-    return sorted(map(search.tuple_of, search.pruned), key=enumeration._canonical_sort_key)
+    return [search.tuple_of(sorted(t)) for t in sorted(search.pruned, key=sorted)]
 
 
 def test_is_minimal_cover_matches_replacement_oracle(catalog):
